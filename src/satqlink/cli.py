@@ -104,8 +104,16 @@ def build_parser() -> argparse.ArgumentParser:
         default="uniform",
         help="initial alkali profile",
     )
-    p_memory.add_argument("--rtol", type=float, default=1e-8)
-    p_memory.add_argument("--atol", type=float, default=1e-10)
+    p_memory.add_argument(
+        "--rtol",
+        type=float,
+        help=f"relative tolerance (default {spindyn.SolverConfig.relative_tolerance:g})",
+    )
+    p_memory.add_argument(
+        "--atol",
+        type=float,
+        help=f"absolute tolerance (default {spindyn.SolverConfig.absolute_tolerance:g})",
+    )
 
     p_gainmap = sub.add_parser(
         "gainmap", parents=[common], help="buffering gain grid"
@@ -210,11 +218,12 @@ def _cmd_memory(args) -> int:
         rabi_frequency=args.rabi,
         exchange_window=args.exchange_window,
     )
-    solver = spindyn.SolverConfig(
-        relative_tolerance=args.rtol,
-        absolute_tolerance=args.atol,
-        initial_profile=args.profile,
-    )
+    tolerances = {
+        name: value
+        for name, value in (("relative_tolerance", args.rtol), ("absolute_tolerance", args.atol))
+        if value is not None
+    }
+    solver = spindyn.SolverConfig(initial_profile=args.profile, **tolerances)
     grid = spindyn.RadialGrid(cfg.cell_radius_m, args.grid)
     try:
         result = spindyn.simulate_protocol(ens, schedule, grid, solver, time_samples=args.samples)

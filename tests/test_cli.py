@@ -210,6 +210,24 @@ def test_memory_solver_failure_exit_code(monkeypatch, tmp_path, capsys):
     assert "solver failure" in err and "schedule" in err
 
 
+@pytest.mark.parametrize(
+    "flags, expected",
+    [((), spindyn.SolverConfig()),
+     (("--rtol", "1e-6"), spindyn.SolverConfig(relative_tolerance=1e-6)),
+     (("--atol", "1e-9"), spindyn.SolverConfig(absolute_tolerance=1e-9))],
+)
+def test_memory_tolerances_default_to_solver_config(monkeypatch, tmp_path, flags, expected):
+    seen = []
+
+    def capture(ens, schedule, grid, solver, time_samples):
+        seen.append(solver)
+        raise SolverFailure("captured")
+
+    monkeypatch.setattr(spindyn, "simulate_protocol", capture)
+    cli.main(["memory", "--out", str(tmp_path / "o"), "--grid", "32", *flags])
+    assert seen == [expected]
+
+
 def test_usage_error_maps_to_config_exit_code(run_cli, tmp_path):
     cp = run_cli("linkmap", "--range-steps", "many")
     assert cp.returncode == 1

@@ -5,6 +5,7 @@ import pytest
 
 from satqlink import spindyn as sd
 from satqlink.afc import EnsembleParams
+from satqlink.config import RunConfig, ensemble_params
 
 R = 0.01
 
@@ -106,8 +107,8 @@ def test_rhs_exchange_term():
     assert np.allclose(ds, 0.0)  # K is empty, no back action yet
 
 
-def test_packed_rhs_matches_public_rhs():
-    # the solver-facing fast path must implement exactly the public equations
+def test_phase_operator_matches_public_rhs():
+    # the assembled phase operator must implement exactly the public equations
     g = sd.RadialGrid(R, 32)
     rng = np.random.default_rng(3)
     p, s, k = (
@@ -119,12 +120,22 @@ def test_packed_rhs_matches_public_rhs():
         alkali_diffusion=1e-8, noble_diffusion=2e-8, optical_decay=0.5,
     )
     state = sd.SpinFieldState(optical=p, alkali=s, noble=k)
-    dp, ds, dk = sd.rhs(state, ens, g, control_rabi=1.1, exchange_coupling=0.7)
-    fun = sd._packed_rhs(ens, g, 1.1, 0.7, 0.0)
-    packed = fun(0.0, np.concatenate((p, s, k)).view(np.float64)).view(np.complex128)
-    assert np.allclose(packed[:32], dp, rtol=1e-14, atol=0)
-    assert np.allclose(packed[32:64], ds, rtol=1e-14, atol=0)
-    assert np.allclose(packed[64:], dk, rtol=1e-14, atol=0)
+    dp, ds, dk = sd.rhs(state, ens, g, control_rabi=1.1, exchange_coupling=0.7,
+                        comb_detuning=0.2)
+    a = sd._phase_operator(ens, g, 1.1, 0.7, comb_detuning=0.2)
+    applied = (a @ np.stack((p, s, k), axis=1).ravel()).reshape(32, 3)
+    assert np.allclose(applied[:, 0], dp, rtol=1e-14, atol=0)
+    assert np.allclose(applied[:, 1], ds, rtol=1e-14, atol=0)
+    assert np.allclose(applied[:, 2], dk, rtol=1e-14, atol=0)
+
+
+def test_phase_operator_diffusion_blocks_match_laplacian():
+    g = sd.RadialGrid(R, 32)
+    f = np.random.default_rng(5).normal(size=32)
+    a = sd._phase_operator(diffusion_only(d_a=1.0, d_b=1.0), g, 0.0, 0.0)
+    for field, bc in ((1, "dirichlet"), (2, "neumann")):
+        block = a[field::3, field::3]
+        assert np.allclose(block @ f, sd.radial_laplacian(f, g, bc), rtol=1e-14, atol=0)
 
 
 def test_rhs_pure_decay():
@@ -366,9 +377,57 @@ def test_solver_failure_is_reported(monkeypatch):
     class _Failed:
         success = False
         message = "step size underflow"
+        nfev, njev, nlu = 12, 3, 4
 
-    monkeypatch.setattr(sd, "solve_ivp", lambda *a, **k: _Failed())
+    real_solve_ivp = sd.solve_ivp
+    calls = []
+
+    def fail_second_phase(*args, **kwargs):
+        calls.append(args[1])
+        return real_solve_ivp(*args, **kwargs) if len(calls) == 1 else _Failed()
+
+    monkeypatch.setattr(sd, "solve_ivp", fail_second_phase)
     g = sd.RadialGrid(R, 32)
-    with pytest.raises(sd.SolverFailure, match="step size underflow"):
+    with pytest.raises(sd.SolverFailure) as info:
         sd.integrate(sd.initial_state(g), sd.ProtocolSchedule(dark_interval=1.0),
                      lossless(j=1.0), g)
+    message = str(info.value)
+    assert "step size underflow" in message
+    assert "phase 2 of 3" in message
+    assert f"t = {calls[1][0]:g} to {calls[1][1]:g} s" in message
+    assert "nfev=12, njev=3, nlu=4" in message
+
+
+# ---------------------------------------------------------------------------
+# stiff regimes
+
+
+@pytest.mark.parametrize(
+    "preset, points, eta_rk45",
+    [("rescaled", 64, 0.818446360423),
+     ("rescaled", 256, 0.815442880106),
+     ("lossless", 256, 1.0)],
+)
+def test_default_protocol_eta_matches_tight_rk45(preset, points, eta_rk45):
+    # eta_rk45: RK45 at rtol 1e-12 / atol 1e-14 over the default 463 s protocol
+    cfg = RunConfig()
+    ens = ensemble_params(cfg, preset=preset)
+    res = sd.simulate_protocol(ens, sd.ProtocolSchedule(dark_interval=463.0),
+                               sd.RadialGrid(cfg.cell_radius_m, points), time_samples=2)
+    assert abs(res.eta_mem - eta_rk45) < 1e-9
+
+
+def test_three_field_stiff_optical_decay():
+    # optical write and read at the rescaled preset's optical decay: the
+    # polarization relaxes many orders of magnitude faster than the spins
+    cfg = RunConfig()
+    ens = ensemble_params(cfg, preset="rescaled")
+    g = sd.RadialGrid(cfg.cell_radius_m, 32)
+    sched = sd.ProtocolSchedule(write_time=1e-6, dark_interval=1.0, read_time=1e-6,
+                                rabi_frequency=1e6)
+    res = sd.simulate_protocol(ens, sched, g, time_samples=41)
+    assert 0.0 <= res.eta_mem <= 1.0
+    traj = res.trajectory
+    norms = np.array([traj.state_at(i).total_norm_sq(g) for i in range(len(traj.times))])
+    assert np.all(np.diff(norms) < 1e-9)
+    assert norms[-1] < norms[0]
