@@ -21,7 +21,6 @@ from . import config as cfgmod
 from . import scenario as scn
 from . import spindyn
 from .config import ConfigError, ENSEMBLE_PRESETS
-from .formatting import csv_float
 from .spindyn import SolverFailure
 
 EXIT_OK = 0
@@ -197,16 +196,6 @@ def _cmd_gainmap(args) -> int:
     return EXIT_OK
 
 
-def _write_field_csv(path: Path, result, which: str) -> None:
-    """Per-field kymograph file: the combined export minus the other column."""
-    column = {"S": "S_norm", "K": "K_norm"}[which]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"t_seconds,r_over_R,{column}\n")
-        for t, r, s_val, k_val in spindyn.kymograph_rows(result):
-            value = s_val if which == "S" else k_val
-            handle.write(f"{csv_float(t)},{csv_float(r)},{csv_float(value)}\n")
-
-
 def _cmd_memory(args) -> int:
     cfg = _load_run_config(args)
     out = _prepare_out(args, cfg)
@@ -233,8 +222,8 @@ def _cmd_memory(args) -> int:
             f"  ensemble: {ens}\n  schedule: {schedule}\n  grid: {grid}\n"
         )
         return EXIT_SOLVER
-    _write_field_csv(out / "kymograph_s.csv", result, "S")
-    _write_field_csv(out / "kymograph_k.csv", result, "K")
+    spindyn.write_kymograph_csv(out / "kymograph_s.csv", result, columns=("S_norm",))
+    spindyn.write_kymograph_csv(out / "kymograph_k.csv", result, columns=("K_norm",))
     spindyn.write_kymograph_csv(out / "kymograph.csv", result)
     sys.stdout.write(f"eta_mem = {result.eta_mem:.6f}\n")
     sys.stdout.write(f"wrote {out / 'kymograph_s.csv'} and {out / 'kymograph_k.csv'}\n")

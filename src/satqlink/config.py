@@ -120,13 +120,12 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 def _convert(key: str, raw: str, where: str):
     kind = _FIELD_TYPES[key]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        value = {"int": int, "float": float}.get(kind, str)(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: invalid value {raw!r} for key '{key}'") from exc
+    if kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"{where}: value {raw!r} for key '{key}' is not finite")
+    return value
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:

@@ -6,12 +6,19 @@ precision so values round-trip through text exactly.
 
 from __future__ import annotations
 
-__all__ = ["csv_float", "table_float", "config_value"]
+__all__ = ["csv_float", "csv_floats", "table_float", "config_value"]
+
+_CSV_SPEC = ".17g"
 
 
 def csv_float(x: float) -> str:
     """Full-precision float for machine-readable output."""
-    return f"{x:.17g}"
+    return format(x, _CSV_SPEC)
+
+
+def csv_floats(values) -> list[str]:
+    """``csv_float`` of every value; pass ``ndarray.tolist()`` for speed."""
+    return [format(x, _CSV_SPEC) for x in values]
 
 
 def table_float(x: float) -> str:

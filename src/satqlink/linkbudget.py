@@ -6,7 +6,8 @@ diffraction-plus-pointing loss. Pointing jitter is folded in as
 long-exposure spot broadening: the far-field Gaussian intensity is
 convolved with the Gaussian jitter kernel, which again yields a Gaussian
 whose per-axis spread obeys sigma_eff^2 = w(z)^2/4 + (sigma_p z)^2.
-All quantities are SI (metres, radians).
+All quantities are SI (metres, radians). The closed forms broadcast over
+numpy arrays of elevations and ranges, so a whole map axis is one call.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-from scipy.special import i0e
+import numpy as np
 
 __all__ = [
     "OpticalLinkParams",
@@ -87,42 +87,42 @@ class EfficiencyBreakdown:
     eta_total: float
 
 
-def atmospheric_transmission(theta: float, zenith_transmission: float) -> float:
+def atmospheric_transmission(theta: float | np.ndarray, zenith_transmission: float):
     """Single-pass atmospheric transmission at elevation theta (rad).
 
     Air-mass scaling: zenith transmission raised to 1/sin(theta). Diverges
-    toward the horizon, so theta must lie in (0, pi/2].
+    toward the horizon, so theta must lie in (0, pi/2]. Broadcasts over theta.
     """
-    if not 0.0 < theta <= math.pi / 2.0:
+    if not np.all((theta > 0.0) & (theta <= math.pi / 2.0)):
         raise ValueError("elevation must lie in (0, pi/2]")
     if not 0.0 < zenith_transmission <= 1.0:
         raise ValueError("zenith_transmission must lie in (0, 1]")
-    return zenith_transmission ** (1.0 / math.sin(theta))
+    return zenith_transmission ** (1.0 / np.sin(theta))
 
 
-def beam_radius(z: float, params: OpticalLinkParams) -> float:
+def beam_radius(z: float | np.ndarray, params: OpticalLinkParams):
     """Gaussian beam radius w(z) (m) a distance z (m) from the waist."""
-    if z < 0.0:
+    if np.any(z < 0.0):
         raise ValueError("propagation distance must be non-negative")
-    return math.hypot(params.beam_waist, params.divergence_half_angle * z)
+    return np.hypot(params.beam_waist, params.divergence_half_angle * z)
 
 
-def effective_spot_sigma(z: float, params: OpticalLinkParams) -> float:
+def effective_spot_sigma(z: float | np.ndarray, params: OpticalLinkParams):
     """Per-axis spread (m) of the jitter-broadened spot at range z (m).
 
     The beam intensity has per-axis std w(z)/2; the jitter kernel adds a
     displacement std of pointing_jitter_rms * z in quadrature.
     """
-    if z <= 0.0:
+    if np.any(z <= 0.0):
         raise ValueError("range must be positive")
-    return math.hypot(beam_radius(z, params) / 2.0, params.pointing_jitter_rms * z)
+    return np.hypot(beam_radius(z, params) / 2.0, params.pointing_jitter_rms * z)
 
 
-def collected_fraction(l: float, params: OpticalLinkParams) -> float:
+def collected_fraction(l: float | np.ndarray, params: OpticalLinkParams):
     """Fraction of transmitted power collected by the receiver pupil at range l (m)."""
     sigma = effective_spot_sigma(l, params)
     r = params.receiver_radius
-    return 1.0 - math.exp(-r * r / (2.0 * sigma * sigma))
+    return 1.0 - np.exp(-r * r / (2.0 * sigma * sigma))
 
 
 def collected_fraction_quadrature(
@@ -136,7 +136,12 @@ def collected_fraction_quadrature(
     kernel (angular part via the modified Bessel identity, radial parts via
     adaptive quadrature) and integrates over the pupil. Slow by design; it
     exists to cross-check the closed form and is exercised by the tests.
+    Scalar range only. It is the one caller of scipy in the link budget, and
+    imports it here so that the link-budget commands never load scipy.
     """
+    from scipy.integrate import quad
+    from scipy.special import i0e
+
     w = beam_radius(l, params)
     sigma_j = params.pointing_jitter_rms * l
     peak = 2.0 / (math.pi * w * w)  # unit total power

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import geometry, linkbudget, skr
-from .formatting import csv_float, table_float
+from .formatting import csv_float, csv_floats, table_float
 from .geometry import OrbitalConfig
 from .linkbudget import OpticalLinkParams
 from .skr import QKDParams
@@ -98,18 +98,21 @@ def combined_eta_buffered(cfg: ScenarioConfig) -> float:
 
 def improvement_factor(cfg: ScenarioConfig) -> float:
     """Buffered over dual success probability (equals the rate ratio)."""
-    eta_d = combined_eta_dual(cfg)
-    if eta_d == 0.0:
-        raise ValueError("dual-downlink probability is zero; gain undefined")
-    return combined_eta_buffered(cfg) / eta_d
+    return compare_scenarios(cfg).gain
 
 
 def compare_scenarios(cfg: ScenarioConfig) -> ScenarioResult:
-    """Evaluate both architectures and the storage feasibility constraint."""
+    """Evaluate both architectures and the storage feasibility constraint.
+
+    Raises ValueError when the dual-downlink probability is zero, because
+    the gain is then undefined.
+    """
     arm_dual = _per_arm(cfg, cfg.dual_elevation, cfg.dual_slant_range)
     arm_buff = _per_arm(cfg, math.pi / 2.0, cfg.buffered_slant_range)
     eta_dual = arm_dual * arm_dual
     eta_buffered = cfg.eta_mem * arm_buff * arm_buff
+    if eta_dual == 0.0:
+        raise ValueError("dual-downlink probability is zero; gain undefined")
 
     herald = cfg.qkd.herald_probability
     y_dual = skr.yield_dual(arm_dual, arm_dual, herald)
@@ -123,7 +126,7 @@ def compare_scenarios(cfg: ScenarioConfig) -> ScenarioResult:
         eta_buffered=eta_buffered,
         skr_dual=skr_dual,
         skr_buffered=skr_buffered,
-        gain=eta_buffered / eta_dual if eta_dual > 0.0 else 0.0,
+        gain=eta_buffered / eta_dual,
         t_buffer=t_buffer,
         feasible=skr.feasibility(cfg.qkd.memory_lifetime, t_buffer),
     )
@@ -143,14 +146,16 @@ def downlink_probability_map(
     """
     ranges = _checked_axis("range_axis_km", range_axis_km)
     jitters = _checked_axis("jitter_axis_rad", jitter_axis_rad, allow_zero=True)
+    # Elevation and atmosphere depend on the range only; one column per jitter.
+    thetas = np.array([geometry.elevation_from_slant_range(l, cfg.orbit) for l in ranges.tolist()])
+    det_atm = cfg.link.detector_efficiency * linkbudget.atmospheric_transmission(
+        thetas, cfg.link.zenith_transmission
+    )
+    ranges_m = ranges * KM
     grid = np.empty((ranges.size, jitters.size))
-    for j, sigma in enumerate(jitters):
-        link = replace(cfg.link, pointing_jitter_rms=float(sigma))
-        for i, l_km in enumerate(ranges):
-            theta = geometry.elevation_from_slant_range(float(l_km), cfg.orbit)
-            grid[i, j] = linkbudget.single_link_efficiency(
-                theta, float(l_km) * KM, link, include=("det", "atm", "dif")
-            ).eta_total
+    for j, sigma in enumerate(jitters.tolist()):
+        link = replace(cfg.link, pointing_jitter_rms=sigma)
+        grid[:, j] = det_atm * linkbudget.collected_fraction(ranges_m, link)
     return grid
 
 
@@ -172,15 +177,12 @@ def gain_map(
         linkbudget.atmospheric_transmission(cfg.dual_elevation, ez) ** 2
         * linkbudget.collected_fraction(cfg.dual_slant_range * KM, cfg.link) ** 2
     )
-    grid = np.empty((elevations.size, memories.size))
-    for i, theta in enumerate(elevations):
-        l_km = geometry.slant_range_from_elevation(float(theta), cfg.orbit)
-        one_arm_sq = (
-            linkbudget.atmospheric_transmission(float(theta), ez) ** 2
-            * linkbudget.collected_fraction(l_km * KM, cfg.link) ** 2
-        )
-        grid[i, :] = memories * (one_arm_sq / ref)
-    return grid
+    ranges = np.array([geometry.slant_range_from_elevation(t, cfg.orbit) for t in elevations.tolist()])
+    one_arm_sq = (
+        linkbudget.atmospheric_transmission(elevations, ez) ** 2
+        * linkbudget.collected_fraction(ranges * KM, cfg.link) ** 2
+    )
+    return np.outer(one_arm_sq / ref, memories)
 
 
 def _checked_axis(name: str, axis, allow_zero: bool = False) -> np.ndarray:
@@ -237,23 +239,34 @@ def csv_comparison(result: ScenarioResult) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _grid_csv(header: str, rows: list[float], columns: list[float], grid: np.ndarray) -> str:
+    """Long-format CSV, one line per cell in row-major order.
+
+    ``rows`` and ``columns`` are the axis values as printed; each is
+    formatted once, not once per cell.
+    """
+    column_labels = csv_floats(columns)
+    lines = [header]
+    for row_label, values in zip(csv_floats(rows), grid.tolist()):
+        lines.extend(f"{row_label},{c},{v}" for c, v in zip(column_labels, csv_floats(values)))
+    return "\n".join(lines) + "\n"
+
+
 def linkmap_csv(range_axis_km, jitter_axis_rad, grid: np.ndarray) -> str:
     """Long-format CSV of the downlink map, range-major row order."""
-    lines = ["slant_range_km,pointing_jitter_urad,success_probability"]
-    for i, l_km in enumerate(range_axis_km):
-        for j, sigma in enumerate(jitter_axis_rad):
-            lines.append(
-                f"{csv_float(float(l_km))},{csv_float(float(sigma) * 1e6)},{csv_float(grid[i, j])}"
-            )
-    return "\n".join(lines) + "\n"
+    return _grid_csv(
+        "slant_range_km,pointing_jitter_urad,success_probability",
+        np.asarray(range_axis_km, dtype=float).tolist(),
+        (np.asarray(jitter_axis_rad, dtype=float) * 1e6).tolist(),
+        grid,
+    )
 
 
 def gainmap_csv(elevation_axis_rad, eta_mem_axis, grid: np.ndarray) -> str:
     """Long-format CSV of the gain map, elevation-major row order."""
-    lines = ["elevation_deg,memory_efficiency,gain"]
-    for i, theta in enumerate(elevation_axis_rad):
-        for j, mem in enumerate(eta_mem_axis):
-            lines.append(
-                f"{csv_float(math.degrees(float(theta)))},{csv_float(float(mem))},{csv_float(grid[i, j])}"
-            )
-    return "\n".join(lines) + "\n"
+    return _grid_csv(
+        "elevation_deg,memory_efficiency,gain",
+        [math.degrees(t) for t in np.asarray(elevation_axis_rad, dtype=float).tolist()],
+        np.asarray(eta_mem_axis, dtype=float).tolist(),
+        grid,
+    )

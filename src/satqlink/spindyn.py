@@ -24,6 +24,9 @@ the optical polarization decays orders of magnitude faster than anything
 else. A full three-field mode is available by giving ``integrate`` an
 initial state with optical amplitude and a schedule with non-zero control
 windows; the stiff solver carries the fast optical decay at protocol length.
+
+scipy (``sparse`` for the operators, ``integrate`` for LSODA) is imported on
+first use: importing this module loads no scipy, only a protocol solve does.
 """
 
 from __future__ import annotations
@@ -32,10 +35,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.integrate import solve_ivp
 
 from .afc import EnsembleParams
+from .formatting import csv_floats
 
 __all__ = [
     "SolverFailure",
@@ -50,7 +52,6 @@ __all__ = [
     "initial_state",
     "integrate",
     "simulate_protocol",
-    "kymograph_rows",
     "write_kymograph_csv",
 ]
 
@@ -278,8 +279,10 @@ def initial_state(grid: RadialGrid, profile: str = "uniform") -> SpinFieldState:
     return SpinFieldState(optical=zeros, alkali=s, noble=zeros.copy(), time=0.0)
 
 
-def _laplacian_matrix(grid: RadialGrid, bc: str) -> sparse.dia_array:
-    """Tridiagonal matrix form of ``radial_laplacian``."""
+def _laplacian_matrix(grid: RadialGrid, bc: str):
+    """Tridiagonal matrix form of ``radial_laplacian`` (a scipy.sparse array)."""
+    from scipy import sparse
+
     a = grid.faces ** 2 / grid.spacing  # face conductances; zero at the origin
     if bc == "dirichlet":
         a[-1] *= 2.0  # mirror ghost -f: the wall face sees twice the jump
@@ -301,6 +304,8 @@ def _phase_operator(ens, grid, control_rabi, exchange_coupling, comb_detuning=0.
     plus the diffusion stencils of S and K. Implements the equations of
     ``rhs``.
     """
+    from scipy import sparse
+
     i_omega, i_j = 1j * control_rabi, 1j * exchange_coupling
     local = np.array([
         [-(ens.optical_decay + 1j * comb_detuning), i_omega, 0.0],
@@ -317,7 +322,7 @@ def _phase_operator(ens, grid, control_rabi, exchange_coupling, comb_detuning=0.
     return a
 
 
-def _real_band(a: sparse.csr_array) -> np.ndarray:
+def _real_band(a) -> np.ndarray:
     """Real form of a complex operator in the packed banded layout of LSODA."""
     coo = a.tocoo()
     rows, cols = 2 * coo.row, 2 * coo.col
@@ -326,6 +331,17 @@ def _real_band(a: sparse.csr_array) -> np.ndarray:
                          (1, 0, coo.data.imag), (1, 1, coo.data.real)):
         band[_BAND + (rows + dr) - (cols + dc), cols + dc] = part
     return band
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call.
+
+    ``integrate`` calls the solver through this module attribute, so that it
+    can be replaced from outside (the tests force solver failures this way).
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _schedule_phases(schedule: ProtocolSchedule, ens: EnsembleParams):
@@ -472,18 +488,18 @@ def simulate_protocol(
     )
 
 
-def kymograph_rows(result: ProtocolResult):
-    """Yield (t_seconds, r_over_R, S_norm, K_norm) sweeping time, then radius."""
-    for i, t in enumerate(result.times):
-        for j, r in enumerate(result.radii_over_r):
-            yield float(t), float(r), float(result.kymograph_alkali[i, j]), float(result.kymograph_noble[i, j])
+def write_kymograph_csv(path, result: ProtocolResult, columns=("S_norm", "K_norm")) -> None:
+    """Write a kymograph export: one line per (t, r), row-major in time.
 
-
-def write_kymograph_csv(path, result: ProtocolResult) -> None:
-    """Write the combined kymograph export: both fields, row-major in time."""
-    from .formatting import csv_float
-
+    ``columns`` picks the fields after t_seconds and r_over_R: the combined
+    export has both, a per-field file one. Radii are formatted once and the
+    file is written one time sample at a time.
+    """
+    by_name = {"S_norm": result.kymograph_alkali, "K_norm": result.kymograph_noble}
+    arrays = [by_name[c] for c in columns]
+    radii = csv_floats(result.radii_over_r.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("t_seconds,r_over_R,S_norm,K_norm\n")
-        for t, r, s_val, k_val in kymograph_rows(result):
-            handle.write(f"{csv_float(t)},{csv_float(r)},{csv_float(s_val)},{csv_float(k_val)}\n")
+        handle.write(",".join(("t_seconds", "r_over_R", *columns)) + "\n")
+        for i, t in enumerate(csv_floats(result.times.tolist())):
+            values = zip(radii, *(csv_floats(a[i].tolist()) for a in arrays))
+            handle.write("".join(f"{t},{','.join(row)}\n" for row in values))

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +235,53 @@ def test_memory_tolerances_default_to_solver_config(monkeypatch, tmp_path, flags
 def test_usage_error_maps_to_config_exit_code(run_cli, tmp_path):
     cp = run_cli("linkmap", "--range-steps", "many")
     assert cp.returncode == 1
+
+
+@pytest.mark.parametrize("override", ["altitude_km=nan", "pointing_jitter_urad=inf"])
+def test_non_finite_override_is_a_config_error(tmp_path, capsys, override):
+    code = cli.main(["scenario", "--out", str(tmp_path / "o"), "--set", override])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "configuration error" in captured.err and override.split("=")[0] in captured.err
+    assert captured.out == ""
+
+
+def test_non_finite_config_file_value_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "run.txt"
+    path.write_text("altitude_km = nan\n")
+    code = cli.main(["scenario", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_zero_dual_probability_exits_without_a_gain(tmp_path, capsys):
+    code = cli.main(["scenario", "--out", str(tmp_path / "o"), "--set", "detector_efficiency=0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "configuration error" in captured.err and "gain undefined" in captured.err
+    assert "0x" not in captured.out
+
+
+def test_link_commands_load_no_scipy(tmp_path):
+    """scenario, linkmap and gainmap run without importing scipy; the two
+    callers that need it (quadrature reference, memory) still work after."""
+    script = f"""
+import sys
+import satqlink
+from satqlink import cli, linkbudget
+out = {str(tmp_path)!r}
+for argv in (["scenario"], ["linkmap"], ["gainmap"]):
+    assert cli.main([*argv, "--out", out]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+link = linkbudget.OpticalLinkParams()
+assert abs(linkbudget.collected_fraction_quadrature(5e5, link)
+           - linkbudget.collected_fraction(5e5, link)) < 1e-6
+assert cli.main(["memory", "--out", out, "--grid", "32", "--storage", "1", "--samples", "5"]) == 0
+assert "scipy.integrate" in sys.modules
+"""
+    env = dict(os.environ)
+    src_dir = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = str(src_dir) + os.pathsep + env.get("PYTHONPATH", "")
+    cp = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert cp.returncode == 0, cp.stderr

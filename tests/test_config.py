@@ -124,3 +124,11 @@ def test_ensemble_presets():
 
     with pytest.raises(ConfigError):
         cm.ensemble_params(cfg, "warp-speed")
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_non_finite_float_values_are_rejected(raw):
+    with pytest.raises(ConfigError, match="line 2.*altitude_km"):
+        cm.parse_config(f"eta_mem = 0.5\naltitude_km = {raw}\n")
+    with pytest.raises(ConfigError, match="pointing_jitter_urad"):
+        cm.apply_overrides(cm.RunConfig(), [f"pointing_jitter_urad={raw}"])

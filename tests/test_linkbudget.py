@@ -143,3 +143,32 @@ def test_params_validation():
         lb.effective_spot_sigma(0.0, LINK)
     with pytest.raises(ValueError):
         lb.beam_radius(-1.0, LINK)
+
+
+def test_closed_forms_broadcast_like_scalar_calls():
+    thetas = np.linspace(0.05, math.pi / 2, 17)
+    ranges = np.linspace(300e3, 2600e3, 17)
+    cases = (
+        (lambda x: lb.atmospheric_transmission(x, 0.8), thetas),
+        (lambda x: lb.beam_radius(x, LINK), ranges),
+        (lambda x: lb.effective_spot_sigma(x, LINK), ranges),
+        (lambda x: lb.collected_fraction(x, LINK), ranges),
+    )
+    for fn, axis in cases:
+        batch = fn(axis)
+        assert batch.shape == axis.shape
+        scalar = np.array([fn(float(x)) for x in axis])
+        np.testing.assert_allclose(batch, scalar, rtol=1e-15, atol=0.0)
+
+
+def test_array_range_checks_still_raise():
+    with pytest.raises(ValueError):
+        lb.atmospheric_transmission(np.array([0.5, 0.0]), 0.8)
+    with pytest.raises(ValueError):
+        lb.atmospheric_transmission(np.array([0.5, math.nan]), 0.8)
+    with pytest.raises(ValueError):
+        lb.beam_radius(np.array([1.0, -1.0]), LINK)
+    with pytest.raises(ValueError):
+        lb.effective_spot_sigma(np.array([1e5, 0.0]), LINK)
+    with pytest.raises(ValueError):
+        lb.collected_fraction(np.array([1e5, -1e5]), LINK)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from satqlink import geometry as geo, linkbudget as lb, scenario as scn
+from satqlink.formatting import csv_float
 from satqlink.skr import QKDParams
 
 CFG = scn.ScenarioConfig()  # baseline operating point
@@ -206,3 +207,68 @@ def test_scenario_config_validation():
         scn.ScenarioConfig(dual_elevation=0.0)
     with pytest.raises(ValueError):
         scn.ScenarioConfig(eta_mem=1.5)
+
+
+def test_improvement_factor_agrees_with_compare_scenarios():
+    for cfg in (CFG, replace(CFG, eta_mem=0.37, dual_elevation=0.5)):
+        assert scn.improvement_factor(cfg) == scn.compare_scenarios(cfg).gain
+    dead = replace(CFG, link=replace(CFG.link, detector_efficiency=0.0))
+    for fn in (scn.improvement_factor, scn.compare_scenarios):
+        with pytest.raises(ValueError, match="gain undefined"):
+            fn(dead)
+
+
+def test_downlink_map_matches_per_cell_reference():
+    horizon_km = math.sqrt(CFG.orbit.orbit_radius ** 2 - CFG.orbit.earth_radius ** 2)
+    ranges = np.array([500.0, 731.37, 1461.9, horizon_km - 1e-3])
+    jitters = np.array([0.0, 3.3e-7, 1e-6, 4.71e-6])
+    grid = scn.downlink_probability_map(ranges, jitters, CFG)
+    for j, sigma in enumerate(jitters):
+        link = replace(CFG.link, pointing_jitter_rms=float(sigma))
+        for i, l_km in enumerate(ranges):
+            theta = geo.elevation_from_slant_range(float(l_km), CFG.orbit)
+            cell = lb.single_link_efficiency(
+                theta, float(l_km) * 1e3, link, include=("det", "atm", "dif")
+            ).eta_total
+            assert grid[i, j] == pytest.approx(cell, rel=1e-12, abs=0.0)
+
+
+def test_gain_map_matches_per_row_reference():
+    elevations = np.radians(np.array([10.37, 20.0, 47.123, 89.99, 90.0]))
+    memories = np.array([0.0, 0.113, 0.74, 1.0])
+    grid = scn.gain_map(elevations, memories, CFG)
+    ez = CFG.link.zenith_transmission
+    ref = (lb.atmospheric_transmission(CFG.dual_elevation, ez)
+           * lb.collected_fraction(CFG.dual_slant_range * 1e3, CFG.link)) ** 2
+    for i, theta in enumerate(elevations):
+        l_km = geo.slant_range_from_elevation(float(theta), CFG.orbit)
+        arm = (lb.atmospheric_transmission(float(theta), ez)
+               * lb.collected_fraction(l_km * 1e3, CFG.link))
+        for j, mem in enumerate(memories):
+            assert grid[i, j] == pytest.approx(mem * arm * arm / ref, rel=1e-12, abs=0.0)
+
+
+def _naive_grid_csv(header, row_labels, column_labels, grid):
+    lines = [header]
+    for i, row in enumerate(row_labels):
+        for j, column in enumerate(column_labels):
+            lines.append(f"{csv_float(row)},{csv_float(column)},{csv_float(grid[i, j])}")
+    return "\n".join(lines) + "\n"
+
+
+def test_map_writers_match_naive_reference():
+    rng = np.random.default_rng(7)
+    ranges = np.sort(rng.uniform(500.0, 2500.0, 6))
+    jitters = np.sort(rng.uniform(0.0, 5e-6, 5))
+    grid = rng.uniform(0.0, 0.1, (6, 5)) / 3.0
+    assert scn.linkmap_csv(ranges, jitters, grid) == _naive_grid_csv(
+        "slant_range_km,pointing_jitter_urad,success_probability",
+        [float(l) for l in ranges], [float(s) * 1e6 for s in jitters], grid,
+    )
+    elevations = np.sort(rng.uniform(0.2, math.pi / 2, 6))
+    memories = np.sort(rng.uniform(0.0, 1.0, 5))
+    gains = rng.uniform(1.0, 200.0, (6, 5)) / 7.0
+    assert scn.gainmap_csv(elevations, memories, gains) == _naive_grid_csv(
+        "elevation_deg,memory_efficiency,gain",
+        [math.degrees(float(t)) for t in elevations], [float(m) for m in memories], gains,
+    )

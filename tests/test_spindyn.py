@@ -6,6 +6,7 @@ import pytest
 from satqlink import spindyn as sd
 from satqlink.afc import EnsembleParams
 from satqlink.config import RunConfig, ensemble_params
+from satqlink.formatting import csv_float
 
 R = 0.01
 
@@ -353,6 +354,22 @@ def test_kymograph_csv_schema(tmp_path):
     second = lines[2].split(",")
     assert first[0] == second[0] == "0"
     assert float(second[1]) > float(first[1])
+
+
+def test_kymograph_files_match_naive_reference(tmp_path):
+    g = sd.RadialGrid(R, 16)
+    res = sd.simulate_protocol(lossless(j=1.0), sd.ProtocolSchedule(dark_interval=0.37), g,
+                               time_samples=7)
+    columns = {"S_norm": res.kymograph_alkali, "K_norm": res.kymograph_noble}
+    for picked in (("S_norm",), ("K_norm",), ("S_norm", "K_norm")):
+        lines = [",".join(("t_seconds", "r_over_R") + picked)]
+        for i, t in enumerate(res.times):
+            for j, r in enumerate(res.radii_over_r):
+                values = [csv_float(float(columns[c][i, j])) for c in picked]
+                lines.append(",".join([csv_float(float(t)), csv_float(float(r)), *values]))
+        path = tmp_path / f"kymo_{len(picked)}_{picked[0]}.csv"
+        sd.write_kymograph_csv(path, res, columns=picked)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_schedule_validation():
