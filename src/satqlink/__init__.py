@@ -24,7 +24,6 @@ from .afc import (
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .geometry import (
     OrbitalConfig,
-    PassGeometry,
     buffer_time,
     elevation,
     elevation_from_slant_range,
@@ -33,7 +32,6 @@ from .geometry import (
     slant_range_from_elevation,
 )
 from .linkbudget import (
-    EfficiencyBreakdown,
     OpticalLinkParams,
     atmospheric_transmission,
     beam_radius,
@@ -45,8 +43,6 @@ from .linkbudget import (
 from .scenario import (
     ScenarioConfig,
     ScenarioResult,
-    combined_eta_buffered,
-    combined_eta_dual,
     compare_scenarios,
     downlink_probability_map,
     gain_map,
@@ -54,7 +50,6 @@ from .scenario import (
 )
 from .skr import (
     QKDParams,
-    YieldResult,
     binary_entropy,
     feasibility,
     instantaneous_skr,

@@ -57,9 +57,7 @@ class AFCParams:
 class EnsembleParams:
     """Hybrid-cell ensemble parameters for the spin dynamics.
 
-    Rates are s^-1, diffusion constants m^2/s, the cell radius m and
-    densities cm^-3. The densities do not enter the dynamics directly;
-    they document the operating point that the remaining rates assume.
+    Rates are s^-1, diffusion constants m^2/s and the cell radius m.
     """
 
     exchange_coupling: float = 2.00e-5   # alkali/noble coherent coupling J
@@ -70,8 +68,6 @@ class EnsembleParams:
     alkali_diffusion: float = 1.02e-8
     noble_diffusion: float = 2.05e-8
     cell_radius: float = 0.01
-    alkali_density: float = 5.0e14
-    noble_density: float = 6.0e19
     optical_decay: float = 2.0 * math.pi * 5.96e6
 
     def __post_init__(self):

@@ -38,6 +38,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for every float flag: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="satqlink", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
@@ -56,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         help="override one configuration key; repeatable",
     )
-    common.add_argument("--eta-mem", type=float, help="shorthand for --set eta_mem=VALUE")
+    common.add_argument("--eta-mem", type=_finite_float, help="shorthand for --set eta_mem=VALUE")
 
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -72,11 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_linkmap = sub.add_parser(
         "linkmap", parents=[common], help="downlink success probability grid"
     )
-    p_linkmap.add_argument("--range-min", type=float, default=500.0, help="km (default 500)")
-    p_linkmap.add_argument("--range-max", type=float, default=2500.0, help="km (default 2500)")
+    p_linkmap.add_argument("--range-min", type=_finite_float, default=500.0, help="km (default 500)")
+    p_linkmap.add_argument("--range-max", type=_finite_float, default=2500.0, help="km (default 2500)")
     p_linkmap.add_argument("--range-steps", type=int, default=21)
-    p_linkmap.add_argument("--jitter-min", type=float, default=0.0, help="urad (default 0)")
-    p_linkmap.add_argument("--jitter-max", type=float, default=5.0, help="urad (default 5)")
+    p_linkmap.add_argument("--jitter-min", type=_finite_float, default=0.0, help="urad (default 0)")
+    p_linkmap.add_argument("--jitter-max", type=_finite_float, default=5.0, help="urad (default 5)")
     p_linkmap.add_argument("--jitter-steps", type=int, default=21)
 
     p_memory = sub.add_parser(
@@ -89,13 +100,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="ensemble preset (default rescaled; paper-literal keeps the configured coupling)",
     )
     p_memory.add_argument("--grid", type=int, default=256, help="radial points (default 256)")
-    p_memory.add_argument("--storage", type=float, default=463.0, help="dark interval, s")
+    p_memory.add_argument("--storage", type=_finite_float, default=463.0, help="dark interval, s")
     p_memory.add_argument(
-        "--exchange-window", type=float, default=None, help="transfer window T' in s (default pi/(2J))"
+        "--exchange-window",
+        type=_finite_float,
+        default=None,
+        help="transfer window T' in s (default pi/(2J))",
     )
-    p_memory.add_argument("--write-time", type=float, default=0.0, help="optical write window, s")
-    p_memory.add_argument("--read-time", type=float, default=0.0, help="optical read window, s")
-    p_memory.add_argument("--rabi", type=float, default=0.0, help="control Rabi frequency, s^-1")
+    p_memory.add_argument("--write-time", type=_finite_float, default=0.0, help="optical write window, s")
+    p_memory.add_argument("--read-time", type=_finite_float, default=0.0, help="optical read window, s")
+    p_memory.add_argument("--rabi", type=_finite_float, default=0.0, help="control Rabi frequency, s^-1")
     p_memory.add_argument("--samples", type=int, default=121, help="kymograph time samples")
     p_memory.add_argument(
         "--profile",
@@ -105,23 +119,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_memory.add_argument(
         "--rtol",
-        type=float,
+        type=_finite_float,
         help=f"relative tolerance (default {spindyn.SolverConfig.relative_tolerance:g})",
     )
     p_memory.add_argument(
         "--atol",
-        type=float,
+        type=_finite_float,
         help=f"absolute tolerance (default {spindyn.SolverConfig.absolute_tolerance:g})",
     )
 
     p_gainmap = sub.add_parser(
         "gainmap", parents=[common], help="buffering gain grid"
     )
-    p_gainmap.add_argument("--elev-min", type=float, default=20.0, help="deg (default 20)")
-    p_gainmap.add_argument("--elev-max", type=float, default=90.0, help="deg (default 90)")
+    p_gainmap.add_argument("--elev-min", type=_finite_float, default=20.0, help="deg (default 20)")
+    p_gainmap.add_argument("--elev-max", type=_finite_float, default=90.0, help="deg (default 90)")
     p_gainmap.add_argument("--elev-steps", type=int, default=15)
-    p_gainmap.add_argument("--mem-min", type=float, default=0.1)
-    p_gainmap.add_argument("--mem-max", type=float, default=1.0)
+    p_gainmap.add_argument("--mem-min", type=_finite_float, default=0.1)
+    p_gainmap.add_argument("--mem-max", type=_finite_float, default=1.0)
     p_gainmap.add_argument("--mem-steps", type=int, default=19)
 
     return parser

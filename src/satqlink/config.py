@@ -2,15 +2,11 @@
 
 One key per line, ``key = value``, with ``#`` comments and blank lines
 ignored. Unknown keys are hard errors so a typo cannot silently skew a
-sweep. Every key has a default; the shipped defaults are the baseline
-operating point (795 nm, 1 m receive aperture, 3 urad divergence, 1 urad
-jitter, 20 deg dual elevation, 90 MHz channel-use rate, 112 modes,
-memory efficiency 0.74, detector 0.70, source 0.20, BSM 0.50, QND 0.80,
-Earth radius 6371 km, altitude 500 km).
-
-The turbulence keys (ground_turbulence_cn2, turbulence_scale_height_m,
-relative_humidity) and the bsm/qnd efficiencies are carried for forward
-compatibility but enter no formula; see the README.
+sweep. Every key has a default and enters at least one parameter-pack
+builder below; the shipped defaults are the baseline operating point
+(795 nm, 1 m receive aperture, 3 urad divergence, 1 urad jitter, 20 deg
+dual elevation, 90 MHz channel-use rate, 112 modes, memory efficiency 0.74,
+detector 0.70, Earth radius 6371 km, altitude 500 km).
 """
 
 from __future__ import annotations
@@ -72,13 +68,6 @@ class RunConfig:
     receiver_diameter_m: float = 1.0
     zenith_transmission: float = 0.8
     detector_efficiency: float = 0.70
-    source_efficiency: float = 0.20
-    bsm_efficiency: float = 0.50
-    qnd_efficiency: float = 0.80
-    # atmosphere (inert; carried for forward compatibility)
-    ground_turbulence_cn2: float = 1.7e-14
-    turbulence_scale_height_m: float = 1500.0
-    relative_humidity: float = 0.60
     # qkd
     channel_use_rate_hz: float = 90e6
     qber_x: float = CALIBRATED_QBER
@@ -101,8 +90,6 @@ class RunConfig:
     alkali_diffusion_m2_s: float = 1.02e-8
     noble_diffusion_m2_s: float = 2.05e-8
     cell_radius_m: float = 0.01
-    alkali_density_cm3: float = 5.0e14
-    noble_density_cm3: float = 6.0e19
     # scenario
     eta_mem: float = 0.74
     dual_elevation_deg: float = 20.0
@@ -208,8 +195,6 @@ def optical_link_params(cfg: RunConfig) -> OpticalLinkParams:
         receiver_radius=cfg.receiver_diameter_m / 2.0,
         zenith_transmission=cfg.zenith_transmission,
         detector_efficiency=cfg.detector_efficiency,
-        source_efficiency=cfg.source_efficiency,
-        memory_efficiency=cfg.eta_mem,
     )
 
 
@@ -265,8 +250,6 @@ def ensemble_params(cfg: RunConfig, preset: str = "paper-literal") -> EnsemblePa
         alkali_diffusion=diff_a,
         noble_diffusion=diff_b,
         cell_radius=cfg.cell_radius_m,
-        alkali_density=cfg.alkali_density_cm3,
-        noble_density=cfg.noble_density_cm3,
         optical_decay=decay_p,
     )
 

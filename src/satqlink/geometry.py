@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 __all__ = [
     "OrbitalConfig",
-    "PassGeometry",
     "slant_range",
     "elevation",
-    "pass_geometry",
     "slant_range_from_elevation",
     "elevation_from_slant_range",
     "ground_track_separation",
@@ -51,15 +49,6 @@ class OrbitalConfig:
     def orbit_radius(self) -> float:
         """Distance of the satellite from the Earth centre (km)."""
         return self.earth_radius + self.altitude
-
-
-@dataclass(frozen=True)
-class PassGeometry:
-    """Instantaneous geometry of one satellite/ground-station line of sight."""
-
-    ground_track_separation: float  # km, arc from the sub-satellite point
-    slant_range: float              # km, line-of-sight distance
-    elevation: float                # rad above the local horizon
 
 
 def slant_range(ground_track: float, orbit: OrbitalConfig) -> float:
@@ -97,15 +86,6 @@ def elevation(ground_track: float, orbit: OrbitalConfig) -> float:
             raise ValueError(f"arcsin argument {arg} outside [-1, 1]")
         arg = 1.0
     return math.pi / 2.0 - central - math.asin(arg)
-
-
-def pass_geometry(ground_track: float, orbit: OrbitalConfig) -> PassGeometry:
-    """Bundle slant range and elevation for one ground-track separation."""
-    return PassGeometry(
-        ground_track_separation=ground_track,
-        slant_range=slant_range(ground_track, orbit),
-        elevation=elevation(ground_track, orbit),
-    )
 
 
 def slant_range_from_elevation(theta: float, orbit: OrbitalConfig) -> float:

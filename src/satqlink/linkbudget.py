@@ -1,7 +1,7 @@
 """Free-space optical downlink efficiencies.
 
-The channel is factored into statistically independent terms: source,
-memory, detector, atmospheric transmission (air-mass model) and
+One downlink arm is the product of three statistically independent terms:
+detector efficiency, atmospheric transmission (air-mass model) and
 diffraction-plus-pointing loss. Pointing jitter is folded in as
 long-exposure spot broadening: the far-field Gaussian intensity is
 convolved with the Gaussian jitter kernel, which again yields a Gaussian
@@ -19,8 +19,6 @@ import numpy as np
 
 __all__ = [
     "OpticalLinkParams",
-    "EfficiencyBreakdown",
-    "EFFICIENCY_FACTORS",
     "atmospheric_transmission",
     "beam_radius",
     "effective_spot_sigma",
@@ -29,14 +27,12 @@ __all__ = [
     "single_link_efficiency",
 ]
 
-EFFICIENCY_FACTORS = ("src", "mem", "det", "atm", "dif")
-
 _WAIST_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class OpticalLinkParams:
-    """Downlink beam, receiver and per-stage efficiency parameters.
+    """Downlink beam, receiver and detector parameters.
 
     beam_waist defaults to the diffraction-limited value
     wavelength / (pi * divergence_half_angle); an explicit value must match
@@ -49,8 +45,6 @@ class OpticalLinkParams:
     receiver_radius: float = 0.5          # m
     zenith_transmission: float = 0.8      # dimensionless, in (0, 1]
     detector_efficiency: float = 0.70
-    source_efficiency: float = 0.20
-    memory_efficiency: float = 0.74
     beam_waist: float | None = None       # m, derived unless given
 
     def __post_init__(self):
@@ -62,10 +56,8 @@ class OpticalLinkParams:
             raise ValueError("receiver_radius must be positive")
         if not 0.0 < self.zenith_transmission <= 1.0:
             raise ValueError("zenith_transmission must lie in (0, 1]")
-        for name in ("detector_efficiency", "source_efficiency", "memory_efficiency"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+        if not 0.0 <= self.detector_efficiency <= 1.0:
+            raise ValueError("detector_efficiency must lie in [0, 1]")
         derived = self.wavelength / (math.pi * self.divergence_half_angle)
         if self.beam_waist is None:
             object.__setattr__(self, "beam_waist", derived)
@@ -73,18 +65,6 @@ class OpticalLinkParams:
             raise ValueError(
                 "beam_waist inconsistent with wavelength / (pi * divergence_half_angle)"
             )
-
-
-@dataclass(frozen=True)
-class EfficiencyBreakdown:
-    """Per-factor efficiencies of one elementary link; excluded factors are 1."""
-
-    eta_src: float
-    eta_mem: float
-    eta_det: float
-    eta_atm: float
-    eta_dif: float
-    eta_total: float
 
 
 def atmospheric_transmission(theta: float | np.ndarray, zenith_transmission: float):
@@ -177,32 +157,15 @@ def collected_fraction_quadrature(
 
 
 def single_link_efficiency(
-    theta: float,
-    l: float,
-    params: OpticalLinkParams,
-    include: tuple[str, ...] = EFFICIENCY_FACTORS,
-) -> EfficiencyBreakdown:
-    """Factorised efficiency of one elementary space-to-ground link.
+    theta: float | np.ndarray, l: float | np.ndarray, params: OpticalLinkParams
+):
+    """Efficiency of one space-to-ground arm: detector * atmosphere * diffraction.
 
-    Parameters
-    ----------
-    theta : float
-        Elevation angle (rad) for the atmospheric factor.
-    l : float
-        Slant range (m) for the diffraction/pointing factor.
-    params : OpticalLinkParams
-        Beam, receiver and per-stage efficiencies.
-    include : tuple of str
-        Which factors enter the product; any of "src", "mem", "det",
-        "atm", "dif". Excluded factors are reported as 1.
+    theta is the elevation (rad) for the air-mass factor, l the slant range
+    (m) for the diffraction/pointing factor. Broadcasts over theta and l.
     """
-    unknown = set(include) - set(EFFICIENCY_FACTORS)
-    if unknown:
-        raise ValueError(f"unknown efficiency factors: {sorted(unknown)}")
-    eta_src = params.source_efficiency if "src" in include else 1.0
-    eta_mem = params.memory_efficiency if "mem" in include else 1.0
-    eta_det = params.detector_efficiency if "det" in include else 1.0
-    eta_atm = atmospheric_transmission(theta, params.zenith_transmission) if "atm" in include else 1.0
-    eta_dif = collected_fraction(l, params) if "dif" in include else 1.0
-    total = eta_src * eta_mem * eta_det * eta_atm * eta_dif
-    return EfficiencyBreakdown(eta_src, eta_mem, eta_det, eta_atm, eta_dif, total)
+    return (
+        params.detector_efficiency
+        * atmospheric_transmission(theta, params.zenith_transmission)
+        * collected_fraction(l, params)
+    )

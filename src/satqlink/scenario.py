@@ -1,11 +1,12 @@
 """Architecture comparison: simultaneous low-elevation downlinks versus
 sequential overhead downlinks bridged by onboard storage.
 
-The per-trial success probability of each architecture multiplies the
-squared single-arm factors (detector, atmosphere, diffraction), plus the
-memory efficiency for the buffered case. The dual-scenario slant range is
-an explicit configuration input, deliberately not derived from the dual
-elevation angle; see the README geometry note.
+The per-trial success probability of each architecture is the square of
+one arm's efficiency (``linkbudget.single_link_efficiency``: detector,
+atmosphere, diffraction), times the memory efficiency for the buffered
+case. The dual-scenario slant range is an explicit configuration input,
+deliberately not derived from the dual elevation angle; see the README
+geometry note.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .skr import QKDParams
 __all__ = [
     "ScenarioConfig",
     "ScenarioResult",
-    "combined_eta_dual",
-    "combined_eta_buffered",
     "improvement_factor",
     "compare_scenarios",
     "downlink_probability_map",
@@ -77,23 +76,16 @@ class ScenarioResult:
     feasible: bool
 
 
-def _per_arm(cfg: ScenarioConfig, theta: float, slant_km: float) -> float:
-    """Single-arm detector * atmosphere * diffraction efficiency."""
-    return linkbudget.single_link_efficiency(
-        theta, slant_km * KM, cfg.link, include=("det", "atm", "dif")
-    ).eta_total
+def _dual_arm(cfg: ScenarioConfig) -> float:
+    """Single-arm efficiency of the dual geometry, the reference of every gain.
 
-
-def combined_eta_dual(cfg: ScenarioConfig) -> float:
-    """Per-trial success probability of the simultaneous dual downlink."""
-    arm = _per_arm(cfg, cfg.dual_elevation, cfg.dual_slant_range)
-    return arm * arm
-
-
-def combined_eta_buffered(cfg: ScenarioConfig) -> float:
-    """Per-trial success probability of the buffered overhead downlink."""
-    arm = _per_arm(cfg, math.pi / 2.0, cfg.buffered_slant_range)
-    return cfg.eta_mem * arm * arm
+    Raises ValueError when the dual-downlink probability is zero, because
+    the gain is then undefined.
+    """
+    arm = linkbudget.single_link_efficiency(cfg.dual_elevation, cfg.dual_slant_range * KM, cfg.link)
+    if arm * arm == 0.0:
+        raise ValueError("dual-downlink probability is zero; gain undefined")
+    return arm
 
 
 def improvement_factor(cfg: ScenarioConfig) -> float:
@@ -107,12 +99,12 @@ def compare_scenarios(cfg: ScenarioConfig) -> ScenarioResult:
     Raises ValueError when the dual-downlink probability is zero, because
     the gain is then undefined.
     """
-    arm_dual = _per_arm(cfg, cfg.dual_elevation, cfg.dual_slant_range)
-    arm_buff = _per_arm(cfg, math.pi / 2.0, cfg.buffered_slant_range)
+    arm_dual = _dual_arm(cfg)
+    arm_buff = linkbudget.single_link_efficiency(
+        math.pi / 2.0, cfg.buffered_slant_range * KM, cfg.link
+    )
     eta_dual = arm_dual * arm_dual
     eta_buffered = cfg.eta_mem * arm_buff * arm_buff
-    if eta_dual == 0.0:
-        raise ValueError("dual-downlink probability is zero; gain undefined")
 
     herald = cfg.qkd.herald_probability
     y_dual = skr.yield_dual(arm_dual, arm_dual, herald)
@@ -139,23 +131,19 @@ def downlink_probability_map(
 ) -> np.ndarray:
     """Single-photon downlink success over (slant range, pointing jitter).
 
-    Cell value: detector * atmosphere * diffraction for one arm, with the
-    elevation recovered from the slant range at the configured altitude.
-    Memory and source factors are excluded. Axes must be ascending; ranges
-    must lie between zenith (altitude) and the horizon.
+    Cell value: one arm's efficiency, with the elevation recovered from the
+    slant range at the configured altitude; the memory is excluded. Axes
+    must be ascending; ranges must lie between zenith (altitude) and the
+    horizon.
     """
     ranges = _checked_axis("range_axis_km", range_axis_km)
     jitters = _checked_axis("jitter_axis_rad", jitter_axis_rad, allow_zero=True)
-    # Elevation and atmosphere depend on the range only; one column per jitter.
     thetas = np.array([geometry.elevation_from_slant_range(l, cfg.orbit) for l in ranges.tolist()])
-    det_atm = cfg.link.detector_efficiency * linkbudget.atmospheric_transmission(
-        thetas, cfg.link.zenith_transmission
-    )
     ranges_m = ranges * KM
     grid = np.empty((ranges.size, jitters.size))
     for j, sigma in enumerate(jitters.tolist()):
         link = replace(cfg.link, pointing_jitter_rms=sigma)
-        grid[:, j] = det_atm * linkbudget.collected_fraction(ranges_m, link)
+        grid[:, j] = linkbudget.single_link_efficiency(thetas, ranges_m, link)
     return grid
 
 
@@ -168,21 +156,15 @@ def gain_map(
 
     Cell (theta, eta_mem): buffered links at elevation theta with slant
     range from the closed-form geometry, against the configured dual
-    reference. Detector factors cancel.
+    reference. Raises ValueError when the dual-downlink probability is zero,
+    exactly as ``compare_scenarios`` does.
     """
     elevations = _checked_axis("elevation_axis_rad", elevation_axis_rad)
     memories = _checked_axis("eta_mem_axis", eta_mem_axis, allow_zero=True)
-    ez = cfg.link.zenith_transmission
-    ref = (
-        linkbudget.atmospheric_transmission(cfg.dual_elevation, ez) ** 2
-        * linkbudget.collected_fraction(cfg.dual_slant_range * KM, cfg.link) ** 2
-    )
+    arm_dual = _dual_arm(cfg)
     ranges = np.array([geometry.slant_range_from_elevation(t, cfg.orbit) for t in elevations.tolist()])
-    one_arm_sq = (
-        linkbudget.atmospheric_transmission(elevations, ez) ** 2
-        * linkbudget.collected_fraction(ranges * KM, cfg.link) ** 2
-    )
-    return np.outer(one_arm_sq / ref, memories)
+    arm = linkbudget.single_link_efficiency(elevations, ranges * KM, cfg.link)
+    return np.outer(arm * arm / (arm_dual * arm_dual), memories)
 
 
 def _checked_axis(name: str, axis, allow_zero: bool = False) -> np.ndarray:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 __all__ = [
     "CALIBRATED_QBER",
     "QKDParams",
-    "YieldResult",
     "binary_entropy",
     "key_bracket",
     "key_fraction",
@@ -22,7 +21,6 @@ __all__ = [
     "yield_dual",
     "yield_buffered",
     "feasibility",
-    "evaluate_rates",
 ]
 
 # Chosen so that 1 - h(e) - 1.10 * h(e) = 0.03812, the key-fraction bracket
@@ -56,15 +54,6 @@ class QKDParams:
             raise ValueError("mode_count must be at least 1")
         if self.memory_lifetime < 0.0:
             raise ValueError("memory_lifetime must be non-negative")
-
-
-@dataclass(frozen=True)
-class YieldResult:
-    """Per-use success probability with the rates it implies."""
-
-    success_probability: float
-    key_fraction: float   # bits per channel use
-    skr: float            # bits per second
 
 
 def binary_entropy(e: float) -> float:
@@ -125,12 +114,3 @@ def feasibility(memory_lifetime: float, buffer_interval: float) -> bool:
     if memory_lifetime < 0.0 or buffer_interval < 0.0:
         raise ValueError("times must be non-negative")
     return memory_lifetime >= buffer_interval
-
-
-def evaluate_rates(q: QKDParams, yield_probability: float) -> YieldResult:
-    """Bundle a yield with its key fraction and instantaneous rate."""
-    return YieldResult(
-        success_probability=yield_probability,
-        key_fraction=key_fraction(yield_probability, q),
-        skr=instantaneous_skr(q, yield_probability),
-    )

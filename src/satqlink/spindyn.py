@@ -166,11 +166,11 @@ class ProtocolSchedule:
     exchange_window: float | None = None
 
     def __post_init__(self):
-        if min(self.write_time, self.dark_interval, self.read_time) < 0.0:
+        if not all(d >= 0.0 for d in (self.write_time, self.dark_interval, self.read_time)):
             raise ValueError("schedule durations must be non-negative")
-        if self.rabi_frequency < 0.0:
+        if not self.rabi_frequency >= 0.0:
             raise ValueError("rabi_frequency must be non-negative")
-        if self.exchange_window is not None and self.exchange_window < 0.0:
+        if self.exchange_window is not None and not self.exchange_window >= 0.0:
             raise ValueError("exchange_window must be non-negative")
 
     def resolve_exchange_window(self, ens: EnsembleParams) -> float:
@@ -191,7 +191,7 @@ class SolverConfig:
     initial_profile: str = "uniform"
 
     def __post_init__(self):
-        if self.relative_tolerance <= 0.0 or self.absolute_tolerance <= 0.0:
+        if not (self.relative_tolerance > 0.0 and self.absolute_tolerance > 0.0):
             raise ValueError("tolerances must be positive")
         if self.initial_profile not in INITIAL_PROFILES:
             raise ValueError(f"initial_profile must be one of {INITIAL_PROFILES}")

@@ -2,11 +2,14 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from satqlink import cli, spindyn
+import satqlink
+from satqlink import afc, cli, config, formatting, geometry, linkbudget, scenario, skr, spindyn
 from satqlink.geometry import OrbitalConfig, slant_range_from_elevation
 from satqlink.spindyn import SolverFailure
 
@@ -260,6 +263,58 @@ def test_zero_dual_probability_exits_without_a_gain(tmp_path, capsys):
     assert code == 1
     assert "configuration error" in captured.err and "gain undefined" in captured.err
     assert "0x" not in captured.out
+
+
+@pytest.mark.parametrize("override", ["detector_efficiency=0", "receiver_diameter_m=1e-9"])
+def test_gainmap_without_a_dual_probability_exits_without_a_gain(run_cli, tmp_path, override):
+    out = tmp_path / "o"
+    cp = run_cli("gainmap", "--out", out, "--set", override)
+    assert cp.returncode == 1
+    assert "configuration error" in cp.stderr and "gain undefined" in cp.stderr
+    assert "RuntimeWarning" not in cp.stderr
+    assert not (out / "gainmap.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("memory", "--grid", "16", "--samples", "3", "--storage", "nan"),
+     ("memory", "--grid", "16", "--samples", "3", "--rtol", "nan"),
+     ("gainmap", "--mem-max", "inf")],
+)
+def test_non_finite_flag_is_a_usage_error(run_cli, tmp_path, argv):
+    cp = run_cli(*argv, "--out", tmp_path / "o")
+    assert cp.returncode == 1
+    assert "expected a finite number" in cp.stderr
+    assert "RuntimeWarning" not in cp.stderr
+    assert "eta_mem" not in cp.stdout
+
+
+def test_default_artifacts_match_the_recorded_references(tmp_path):
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+    out = str(tmp_path)
+    assert cli.main(["scenario", "--out", out, "--format", "text"]) == 0
+    assert (tmp_path / "scenario.txt").read_bytes() == (reference / "scenario.txt").read_bytes()
+    for command, name in (("linkmap", "linkmap-21x21.csv"), ("gainmap", "gainmap-15x19.csv")):
+        assert cli.main([command, "--out", out]) == 0
+        got = (tmp_path / f"{command}.csv").read_text().splitlines()
+        want = (reference / name).read_text().splitlines()
+        assert got[0] == want[0]
+        got_rows = np.array([[float(x) for x in line.split(",")] for line in got[1:]])
+        want_rows = np.array([[float(x) for x in line.split(",")] for line in want[1:]])
+        assert got_rows.shape == want_rows.shape
+        np.testing.assert_allclose(got_rows, want_rows, rtol=1e-12, atol=0.0)
+
+
+def test_public_names_resolve():
+    modules = (afc, config, formatting, geometry, linkbudget, scenario, skr, spindyn)
+    exported = set()
+    for module in modules:
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+            exported.add(name)
+    for name, value in vars(satqlink).items():
+        if not name.startswith("_") and not isinstance(value, types.ModuleType):
+            assert name in exported, f"satqlink.{name}"
 
 
 def test_link_commands_load_no_scipy(tmp_path):

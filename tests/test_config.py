@@ -1,9 +1,21 @@
 import math
+from dataclasses import fields, replace
 
 import pytest
 
 from satqlink import config as cm
 from satqlink.config import ConfigError
+
+REMOVED_KEYS = (
+    "source_efficiency",
+    "bsm_efficiency",
+    "qnd_efficiency",
+    "ground_turbulence_cn2",
+    "turbulence_scale_height_m",
+    "relative_humidity",
+    "alkali_density_cm3",
+    "noble_density_cm3",
+)
 
 
 def test_defaults_match_baseline_tables():
@@ -16,12 +28,10 @@ def test_defaults_match_baseline_tables():
     assert cfg.channel_use_rate_hz == 90e6
     assert cfg.eta_mem == 0.74
     assert cfg.detector_efficiency == 0.70
-    assert cfg.bsm_efficiency == 0.50
     assert cfg.mode_count == 112
-    assert cfg.source_efficiency == 0.20
-    assert cfg.qnd_efficiency == 0.80
     assert cfg.earth_radius_km == 6371.0
     assert cfg.altitude_km == 500.0
+    assert cm.scenario_config(cfg).eta_mem == 0.74
 
 
 def test_emit_parse_round_trip():
@@ -84,7 +94,6 @@ def test_optical_builder_unit_conversion():
     assert link.divergence_half_angle == pytest.approx(3e-6)
     assert link.pointing_jitter_rms == pytest.approx(1e-6)
     assert link.receiver_radius == 0.5
-    assert link.memory_efficiency == 0.74
 
 
 def test_scenario_builder():
@@ -132,3 +141,34 @@ def test_non_finite_float_values_are_rejected(raw):
         cm.parse_config(f"eta_mem = 0.5\naltitude_km = {raw}\n")
     with pytest.raises(ConfigError, match="pointing_jitter_urad"):
         cm.apply_overrides(cm.RunConfig(), [f"pointing_jitter_urad={raw}"])
+
+
+def _built(cfg: cm.RunConfig) -> tuple:
+    """Everything the parameter-pack builders make from one RunConfig."""
+    return (
+        cm.orbital_config(cfg),
+        cm.optical_link_params(cfg),
+        cm.qkd_params(cfg),
+        cm.afc_params(cfg),
+        *(cm.ensemble_params(cfg, preset) for preset in cm.ENSEMBLE_PRESETS),
+        cm.scenario_config(cfg),
+    )
+
+
+def test_every_key_enters_a_builder():
+    base = cm.RunConfig()
+    reference = _built(base)
+    for f in fields(cm.RunConfig):
+        if f.name in ("output_dir", "output_format"):
+            continue
+        value = getattr(base, f.name)
+        # a small step keeps every key inside its domain (the comb tooth
+        # width stays above twice the optical linewidth)
+        nudged = value - 1 if isinstance(value, int) else (value * 0.995 if value else 1e-3)
+        assert _built(replace(base, **{f.name: nudged})) != reference, f.name
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_keys_are_unknown(key):
+    with pytest.raises(ConfigError, match=rf"line 2.*unknown configuration key '{key}'"):
+        cm.parse_config(f"eta_mem = 0.5\n{key} = 0.5\n", source="old.txt")

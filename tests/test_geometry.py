@@ -72,9 +72,8 @@ def test_monotonicity_over_ground_track():
 
 def test_pass_geometry_invariants():
     for lg in (0.0, 100.0, 500.0, 1500.0):
-        pg = geo.pass_geometry(lg, ORBIT)
-        assert pg.slant_range >= ORBIT.altitude
-        assert 0.0 <= pg.elevation <= math.pi / 2
+        assert geo.slant_range(lg, ORBIT) >= ORBIT.altitude
+        assert 0.0 <= geo.elevation(lg, ORBIT) <= math.pi / 2
 
 
 def test_orbital_period():

@@ -106,28 +106,13 @@ def test_atmospheric_transmission_domain():
 
 
 def test_single_link_efficiency_factor_sets():
-    none = lb.single_link_efficiency(math.pi / 2, 500e3, LINK, include=())
-    assert none.eta_total == 1.0
-    assert (none.eta_src, none.eta_mem, none.eta_det, none.eta_atm, none.eta_dif) == (1.0,) * 5
+    arm_zenith = lb.single_link_efficiency(math.pi / 2, 500e3, LINK)
+    assert arm_zenith == pytest.approx(0.07969240955946144, rel=1e-12)
+    # detector * atmosphere * diffraction, in that order; the zenith air mass is 1
+    assert arm_zenith == 0.70 * 0.8 * lb.collected_fraction(500e3, LINK)
 
-    arm_zenith = lb.single_link_efficiency(math.pi / 2, 500e3, LINK, include=("det", "atm", "dif"))
-    assert arm_zenith.eta_total == pytest.approx(0.07969240955946144, rel=1e-12)
-    assert arm_zenith.eta_src == 1.0 and arm_zenith.eta_mem == 1.0
-
-    arm_low = lb.single_link_efficiency(
-        math.radians(20.0), 1461.9e3, LINK, include=("det", "atm", "dif")
-    )
-    assert arm_low.eta_total == pytest.approx(0.006500266561404151, rel=1e-12)
-
-    full = lb.single_link_efficiency(math.pi / 2, 500e3, LINK)
-    assert full.eta_total == pytest.approx(
-        0.20 * 0.74 * 0.70 * 0.8 * arm_zenith.eta_dif, rel=1e-12
-    )
-
-
-def test_single_link_efficiency_rejects_unknown_factor():
-    with pytest.raises(ValueError):
-        lb.single_link_efficiency(math.pi / 2, 500e3, LINK, include=("det", "bogus"))
+    arm_low = lb.single_link_efficiency(math.radians(20.0), 1461.9e3, LINK)
+    assert arm_low == pytest.approx(0.006500266561404151, rel=1e-12)
 
 
 def test_params_validation():
@@ -153,6 +138,7 @@ def test_closed_forms_broadcast_like_scalar_calls():
         (lambda x: lb.beam_radius(x, LINK), ranges),
         (lambda x: lb.effective_spot_sigma(x, LINK), ranges),
         (lambda x: lb.collected_fraction(x, LINK), ranges),
+        (lambda x: lb.single_link_efficiency(x, 500e3 / np.sin(x), LINK), thetas),
     )
     for fn, axis in cases:
         batch = fn(axis)

@@ -12,17 +12,17 @@ CFG = scn.ScenarioConfig()  # baseline operating point
 
 
 def test_combined_eta_dual_matches_reference():
-    eta = scn.combined_eta_dual(CFG)
+    eta = scn.compare_scenarios(CFG).eta_dual
     assert eta == pytest.approx(4.2253465369308956e-05, rel=1e-9)
     assert eta == pytest.approx(4.23e-5, rel=0.01)
 
 
 def test_combined_eta_buffered_matches_reference():
-    eta = scn.combined_eta_buffered(CFG)
+    eta = scn.compare_scenarios(CFG).eta_buffered
     assert eta == pytest.approx(0.004699651304630778, rel=1e-9)
     assert eta == pytest.approx(4.70e-3, rel=0.01)
     perfect_memory = replace(CFG, eta_mem=1.0)
-    assert scn.combined_eta_buffered(perfect_memory) == pytest.approx(6.35e-3, rel=0.01)
+    assert scn.compare_scenarios(perfect_memory).eta_buffered == pytest.approx(6.35e-3, rel=0.01)
 
 
 def test_degenerate_geometry_reduces_to_dual():
@@ -32,14 +32,13 @@ def test_degenerate_geometry_reduces_to_dual():
         buffered_slant_range=CFG.dual_slant_range,
     )
     degenerate = replace(degenerate, dual_elevation=math.pi / 2)
-    assert scn.combined_eta_buffered(degenerate) == pytest.approx(
-        scn.combined_eta_dual(degenerate), rel=1e-12
-    )
+    result = scn.compare_scenarios(degenerate)
+    assert result.eta_buffered == pytest.approx(result.eta_dual, rel=1e-12)
 
 
 def test_extreme_jitter_kills_the_dual_link():
     blurred = replace(CFG, link=replace(CFG.link, pointing_jitter_rms=1e-2))
-    assert scn.combined_eta_dual(blurred) < 1e-12
+    assert scn.compare_scenarios(blurred).eta_dual < 1e-12
 
 
 def test_improvement_factor():
@@ -89,7 +88,7 @@ def test_compare_scenarios_at_error_threshold():
     at_threshold = replace(CFG, qkd=QKDParams(qber_x=0.5, qber_z=0.5))
     result = scn.compare_scenarios(at_threshold)
     assert result.skr_dual == 0.0 and result.skr_buffered == 0.0
-    assert result.eta_dual == pytest.approx(scn.combined_eta_dual(CFG), rel=1e-12)
+    assert result.eta_dual == pytest.approx(scn.compare_scenarios(CFG).eta_dual, rel=1e-12)
 
 
 def test_infeasible_memory_lifetime():
@@ -113,9 +112,11 @@ def test_downlink_map_consistent_with_single_link():
     ranges = np.array([500.0, 1461.9])
     jitters = np.array([1e-6])
     grid = scn.downlink_probability_map(ranges, jitters, CFG)
-    zenith = lb.single_link_efficiency(
-        math.pi / 2, 500e3, CFG.link, include=("det", "atm", "dif")
-    ).eta_total
+    zenith = (
+        CFG.link.detector_efficiency
+        * lb.atmospheric_transmission(math.pi / 2, CFG.link.zenith_transmission)
+        * lb.collected_fraction(500e3, CFG.link)
+    )
     assert abs(grid[0, 0] - zenith) < 1e-12
     assert grid[0, 0] == pytest.approx(0.07969240955946144, rel=1e-12)
     assert grid[1, 0] == pytest.approx(0.004939441019962934, rel=1e-12)
@@ -213,7 +214,11 @@ def test_improvement_factor_agrees_with_compare_scenarios():
     for cfg in (CFG, replace(CFG, eta_mem=0.37, dual_elevation=0.5)):
         assert scn.improvement_factor(cfg) == scn.compare_scenarios(cfg).gain
     dead = replace(CFG, link=replace(CFG.link, detector_efficiency=0.0))
-    for fn in (scn.improvement_factor, scn.compare_scenarios):
+
+    def one_cell_gain_map(cfg):
+        return scn.gain_map(np.array([1.0]), np.array([0.5]), cfg)
+
+    for fn in (scn.improvement_factor, scn.compare_scenarios, one_cell_gain_map):
         with pytest.raises(ValueError, match="gain undefined"):
             fn(dead)
 
@@ -227,9 +232,11 @@ def test_downlink_map_matches_per_cell_reference():
         link = replace(CFG.link, pointing_jitter_rms=float(sigma))
         for i, l_km in enumerate(ranges):
             theta = geo.elevation_from_slant_range(float(l_km), CFG.orbit)
-            cell = lb.single_link_efficiency(
-                theta, float(l_km) * 1e3, link, include=("det", "atm", "dif")
-            ).eta_total
+            cell = (
+                link.detector_efficiency
+                * lb.atmospheric_transmission(theta, link.zenith_transmission)
+                * lb.collected_fraction(float(l_km) * 1e3, link)
+            )
             assert grid[i, j] == pytest.approx(cell, rel=1e-12, abs=0.0)
 
 

@@ -107,14 +107,6 @@ def test_feasibility():
         skr.feasibility(-1.0, 10.0)
 
 
-def test_evaluate_rates_bundle():
-    q = skr.QKDParams()
-    out = skr.evaluate_rates(q, 4.700e-3)
-    assert out.success_probability == 4.700e-3
-    assert out.key_fraction == skr.key_fraction(4.700e-3, q)
-    assert out.skr == skr.instantaneous_skr(q, 4.700e-3)
-
-
 def test_qkd_params_validation():
     with pytest.raises(ValueError):
         skr.QKDParams(qber_x=0.6)

@@ -373,10 +373,14 @@ def test_kymograph_files_match_naive_reference(tmp_path):
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        sd.ProtocolSchedule(dark_interval=-1.0)
+    for bad in (-1.0, math.nan):
+        for name in ("write_time", "dark_interval", "read_time", "rabi_frequency"):
+            with pytest.raises(ValueError):
+                sd.ProtocolSchedule(**{name: bad})
     with pytest.raises(ValueError):
         sd.ProtocolSchedule(exchange_window=-0.1)
+    with pytest.raises(ValueError):
+        sd.ProtocolSchedule(exchange_window=math.nan)
     sched = sd.ProtocolSchedule()
     with pytest.raises(ValueError):
         sched.resolve_exchange_window(lossless(j=0.0))
@@ -384,8 +388,11 @@ def test_schedule_validation():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        sd.SolverConfig(relative_tolerance=0.0)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            sd.SolverConfig(relative_tolerance=bad)
+        with pytest.raises(ValueError):
+            sd.SolverConfig(absolute_tolerance=bad)
     with pytest.raises(ValueError):
         sd.SolverConfig(initial_profile="gaussian")
 
