@@ -43,7 +43,7 @@ class AFCParams:
     def __post_init__(self):
         if not self.total_bandwidth >= self.tooth_spacing >= self.tooth_width > 0.0:
             raise ValueError("require total_bandwidth >= tooth_spacing >= tooth_width > 0")
-        if self.homogeneous_linewidth < 0.0:
+        if not self.homogeneous_linewidth >= 0.0:
             raise ValueError("homogeneous_linewidth must be non-negative")
         if self.tooth_width < 2.0 * self.homogeneous_linewidth:
             warnings.warn(
@@ -79,10 +79,12 @@ class EnsembleParams:
             "noble_diffusion",
             "optical_decay",
         ):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.cell_radius <= 0.0:
+        if not self.cell_radius > 0.0:
             raise ValueError("cell_radius must be positive")
+        if not (math.isfinite(self.alkali_detuning) and math.isfinite(self.noble_detuning)):
+            raise ValueError("detunings must be finite")
 
 
 @dataclass(frozen=True)
@@ -93,9 +95,9 @@ class CavityParams:
     ensemble_coupling: float
 
     def __post_init__(self):
-        if self.cavity_decay <= 0.0:
+        if not self.cavity_decay > 0.0:
             raise ValueError("cavity_decay must be positive")
-        if self.ensemble_coupling < 0.0:
+        if not self.ensemble_coupling >= 0.0:
             raise ValueError("ensemble_coupling must be non-negative")
 
 
@@ -108,7 +110,7 @@ class ControlPulse:
     exchange_duration: float = 0.0
 
     def __post_init__(self):
-        if self.duration < 0.0 or self.rabi_frequency < 0.0 or self.exchange_duration < 0.0:
+        if not all(x >= 0.0 for x in (self.duration, self.rabi_frequency, self.exchange_duration)):
             raise ValueError("pulse parameters must be non-negative")
 
 

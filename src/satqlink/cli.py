@@ -236,9 +236,7 @@ def _cmd_memory(args) -> int:
             f"  ensemble: {ens}\n  schedule: {schedule}\n  grid: {grid}\n"
         )
         return EXIT_SOLVER
-    spindyn.write_kymograph_csv(out / "kymograph_s.csv", result, columns=("S_norm",))
-    spindyn.write_kymograph_csv(out / "kymograph_k.csv", result, columns=("K_norm",))
-    spindyn.write_kymograph_csv(out / "kymograph.csv", result)
+    spindyn.write_kymograph_csv(out, result)
     sys.stdout.write(f"eta_mem = {result.eta_mem:.6f}\n")
     sys.stdout.write(f"wrote {out / 'kymograph_s.csv'} and {out / 'kymograph_k.csv'}\n")
     return EXIT_OK
@@ -257,9 +255,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return EXIT_CONFIG
     except ValueError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .afc import AFCParams, EnsembleParams
+from .afc import EnsembleParams
 from .formatting import config_value
 from .geometry import OrbitalConfig
 from .linkbudget import OpticalLinkParams
@@ -32,7 +32,6 @@ __all__ = [
     "orbital_config",
     "optical_link_params",
     "qkd_params",
-    "afc_params",
     "ensemble_params",
     "scenario_config",
     "ENSEMBLE_PRESETS",
@@ -76,12 +75,8 @@ class RunConfig:
     herald_probability: float = 1.0
     mode_count: int = 112
     memory_lifetime_s: float = 463.0
-    # comb
-    comb_bandwidth_hz: float = 27e9
-    comb_tooth_spacing_hz: float = 96e6
-    comb_tooth_width_hz: float = 12e6
-    optical_linewidth_hz: float = 5.96e6
     # ensemble
+    optical_linewidth_hz: float = 5.96e6
     exchange_coupling: float = 2.00e-5
     alkali_decay: float = 3.1e-7
     noble_decay: float = 0.0
@@ -210,16 +205,7 @@ def qkd_params(cfg: RunConfig) -> QKDParams:
     )
 
 
-def afc_params(cfg: RunConfig) -> AFCParams:
-    return AFCParams(
-        total_bandwidth=cfg.comb_bandwidth_hz,
-        tooth_spacing=cfg.comb_tooth_spacing_hz,
-        tooth_width=cfg.comb_tooth_width_hz,
-        homogeneous_linewidth=cfg.optical_linewidth_hz,
-    )
-
-
-def ensemble_params(cfg: RunConfig, preset: str = "paper-literal") -> EnsembleParams:
+def ensemble_params(cfg: RunConfig, preset: str) -> EnsembleParams:
     """Ensemble parameters under one of the shipped presets.
 
     paper-literal: configured rates as given (all in s^-1).

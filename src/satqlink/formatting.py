@@ -28,8 +28,6 @@ def table_float(x: float) -> str:
 
 def config_value(value) -> str:
     """Render a config field value; floats keep full precision."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return csv_float(value)
     return str(value)

@@ -38,11 +38,11 @@ class OrbitalConfig:
     gravitational_parameter: float = 398600.0
 
     def __post_init__(self):
-        if self.earth_radius <= 0.0:
+        if not self.earth_radius > 0.0:
             raise ValueError("earth_radius must be positive")
-        if self.altitude < 0.0:
+        if not self.altitude >= 0.0:
             raise ValueError("altitude must be non-negative")
-        if self.gravitational_parameter <= 0.0:
+        if not self.gravitational_parameter > 0.0:
             raise ValueError("gravitational_parameter must be positive")
 
     @property

@@ -27,16 +27,12 @@ __all__ = [
     "single_link_efficiency",
 ]
 
-_WAIST_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class OpticalLinkParams:
     """Downlink beam, receiver and detector parameters.
 
-    beam_waist defaults to the diffraction-limited value
-    wavelength / (pi * divergence_half_angle); an explicit value must match
-    that relation to within 1e-12 relative.
+    ``beam_waist`` is derived, not set: the diffraction-limited value
+    wavelength / (pi * divergence_half_angle).
     """
 
     wavelength: float = 795e-9            # m
@@ -45,26 +41,23 @@ class OpticalLinkParams:
     receiver_radius: float = 0.5          # m
     zenith_transmission: float = 0.8      # dimensionless, in (0, 1]
     detector_efficiency: float = 0.70
-    beam_waist: float | None = None       # m, derived unless given
 
     def __post_init__(self):
-        if self.wavelength <= 0.0 or self.divergence_half_angle <= 0.0:
+        if not (self.wavelength > 0.0 and self.divergence_half_angle > 0.0):
             raise ValueError("wavelength and divergence_half_angle must be positive")
-        if self.pointing_jitter_rms < 0.0:
+        if not self.pointing_jitter_rms >= 0.0:
             raise ValueError("pointing_jitter_rms must be non-negative")
-        if self.receiver_radius <= 0.0:
+        if not self.receiver_radius > 0.0:
             raise ValueError("receiver_radius must be positive")
         if not 0.0 < self.zenith_transmission <= 1.0:
             raise ValueError("zenith_transmission must lie in (0, 1]")
         if not 0.0 <= self.detector_efficiency <= 1.0:
             raise ValueError("detector_efficiency must lie in [0, 1]")
-        derived = self.wavelength / (math.pi * self.divergence_half_angle)
-        if self.beam_waist is None:
-            object.__setattr__(self, "beam_waist", derived)
-        elif abs(self.beam_waist - derived) > _WAIST_TOL * derived:
-            raise ValueError(
-                "beam_waist inconsistent with wavelength / (pi * divergence_half_angle)"
-            )
+
+    @property
+    def beam_waist(self) -> float:
+        """Diffraction-limited waist radius (m)."""
+        return self.wavelength / (math.pi * self.divergence_half_angle)
 
 
 def atmospheric_transmission(theta: float | np.ndarray, zenith_transmission: float):
@@ -105,11 +98,7 @@ def collected_fraction(l: float | np.ndarray, params: OpticalLinkParams):
     return 1.0 - np.exp(-r * r / (2.0 * sigma * sigma))
 
 
-def collected_fraction_quadrature(
-    l: float,
-    params: OpticalLinkParams,
-    abs_tol: float = 1e-10,
-) -> float:
+def collected_fraction_quadrature(l: float, params: OpticalLinkParams) -> float:
     """Reference value of ``collected_fraction`` by adaptive polar quadrature.
 
     Numerically convolves the propagated beam intensity with the jitter
@@ -142,14 +131,14 @@ def collected_fraction_quadrature(
                 bessel = i0e(rho * rp / s2)
                 return rp * beam(rp) * gauss * bessel / s2
 
-            value, _ = quad(kernel, 0.0, r_max, epsabs=abs_tol * 1e-2, epsrel=1e-10, limit=200)
+            value, _ = quad(kernel, 0.0, r_max, epsabs=1e-12, epsrel=1e-10, limit=200)
             return value
 
     power, _ = quad(
         lambda rho: 2.0 * math.pi * rho * smeared(rho),
         0.0,
         params.receiver_radius,
-        epsabs=abs_tol,
+        epsabs=1e-10,
         epsrel=1e-9,
         limit=200,
     )

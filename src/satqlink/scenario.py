@@ -53,11 +53,11 @@ class ScenarioConfig:
     eta_mem: float = 0.74
 
     def __post_init__(self):
-        if self.dual_slant_range <= 0.0 or self.buffered_slant_range <= 0.0:
+        if not (self.dual_slant_range > 0.0 and self.buffered_slant_range > 0.0):
             raise ValueError("slant ranges must be positive")
         if not 0.0 < self.dual_elevation <= math.pi / 2.0:
             raise ValueError("dual_elevation must lie in (0, pi/2]")
-        if self.ogs_separation < 0.0:
+        if not self.ogs_separation >= 0.0:
             raise ValueError("ogs_separation must be non-negative")
         if not 0.0 <= self.eta_mem <= 1.0:
             raise ValueError("eta_mem must lie in [0, 1]")

@@ -41,18 +41,18 @@ class QKDParams:
     memory_lifetime: float = 463.0    # s
 
     def __post_init__(self):
-        if self.channel_use_rate <= 0.0:
+        if not self.channel_use_rate > 0.0:
             raise ValueError("channel_use_rate must be positive")
         for name in ("qber_x", "qber_z"):
             if not 0.0 <= getattr(self, name) <= 0.5:
                 raise ValueError(f"{name} must lie in [0, 0.5]")
-        if self.ec_inefficiency < 1.0:
+        if not self.ec_inefficiency >= 1.0:
             raise ValueError("ec_inefficiency must be at least 1")
         if not 0.0 <= self.herald_probability <= 1.0:
             raise ValueError("herald_probability must lie in [0, 1]")
         if self.mode_count < 1:
             raise ValueError("mode_count must be at least 1")
-        if self.memory_lifetime < 0.0:
+        if not self.memory_lifetime >= 0.0:
             raise ValueError("memory_lifetime must be non-negative")
 
 

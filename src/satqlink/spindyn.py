@@ -77,7 +77,7 @@ class RadialGrid:
     """
 
     def __init__(self, cell_radius: float, point_count: int):
-        if cell_radius <= 0.0:
+        if not cell_radius > 0.0:
             raise ValueError("cell_radius must be positive")
         if point_count < 16:
             raise ValueError("point_count must be at least 16")
@@ -132,7 +132,6 @@ class SpinFieldState:
     optical: np.ndarray   # cavity-driven optical polarization P
     alkali: np.ndarray    # alkali spin wave S
     noble: np.ndarray     # noble-gas spin wave K
-    time: float = 0.0
 
     def __post_init__(self):
         n = len(self.alkali)
@@ -187,7 +186,6 @@ class SolverConfig:
 
     relative_tolerance: float = 1e-10
     absolute_tolerance: float = 1e-12
-    max_step: float = math.inf
     initial_profile: str = "uniform"
 
     def __post_init__(self):
@@ -211,7 +209,6 @@ class Trajectory:
             optical=self.optical[index],
             alkali=self.alkali[index],
             noble=self.noble[index],
-            time=float(self.times[index]),
         )
 
 
@@ -234,11 +231,10 @@ def rhs(
     grid: RadialGrid,
     control_rabi: float = 0.0,
     exchange_coupling: float | None = None,
-    comb_detuning: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Time derivatives (dP, dS, dK) of the coupled field equations.
 
-    dP = -(gamma_p + i delta_bar) P + i Omega S
+    dP = -gamma_p P + i Omega S
     dS = -(gamma_s + i delta_s) S + D_a lap(S) + i Omega P - i J K
     dK = -(gamma_k + i delta_k) K + D_b lap(K) - i J S
 
@@ -251,7 +247,7 @@ def rhs(
     """
     j = ens.exchange_coupling if exchange_coupling is None else exchange_coupling
     p, s, k = state.optical, state.alkali, state.noble
-    dp = -(ens.optical_decay + 1j * comb_detuning) * p + 1j * control_rabi * s
+    dp = -ens.optical_decay * p + 1j * control_rabi * s
     ds = (
         -(ens.alkali_decay + 1j * ens.alkali_detuning) * s
         + 1j * control_rabi * p
@@ -276,7 +272,7 @@ def initial_state(grid: RadialGrid, profile: str = "uniform") -> SpinFieldState:
         raise ValueError(f"initial_profile must be one of {INITIAL_PROFILES}")
     s /= math.sqrt(grid.volume_norm_sq(s))
     zeros = np.zeros_like(s)
-    return SpinFieldState(optical=zeros, alkali=s, noble=zeros.copy(), time=0.0)
+    return SpinFieldState(optical=zeros, alkali=s, noble=zeros.copy())
 
 
 def _laplacian_matrix(grid: RadialGrid, bc: str):
@@ -296,7 +292,7 @@ def _laplacian_matrix(grid: RadialGrid, bc: str):
     )
 
 
-def _phase_operator(ens, grid, control_rabi, exchange_coupling, comb_detuning=0.0):
+def _phase_operator(ens, grid, control_rabi, exchange_coupling):
     """The constant matrix A of y' = A y in one phase, nodes interleaved.
 
     Row/column 3 i + f holds field f (0 = P, 1 = S, 2 = K) at node i: a
@@ -308,7 +304,7 @@ def _phase_operator(ens, grid, control_rabi, exchange_coupling, comb_detuning=0.
 
     i_omega, i_j = 1j * control_rabi, 1j * exchange_coupling
     local = np.array([
-        [-(ens.optical_decay + 1j * comb_detuning), i_omega, 0.0],
+        [-ens.optical_decay, i_omega, 0.0],
         [i_omega, -(ens.alkali_decay + 1j * ens.alkali_detuning), -i_j],
         [0.0, -i_j, -(ens.noble_decay + 1j * ens.noble_detuning)],
     ])
@@ -419,7 +415,6 @@ def integrate(
             t_eval=t_eval,
             rtol=solver.relative_tolerance,
             atol=solver.absolute_tolerance,
-            max_step=solver.max_step,
             jac=lambda t, y: band,
             lband=_BAND,
             uband=_BAND,
@@ -488,18 +483,27 @@ def simulate_protocol(
     )
 
 
-def write_kymograph_csv(path, result: ProtocolResult, columns=("S_norm", "K_norm")) -> None:
-    """Write a kymograph export: one line per (t, r), row-major in time.
+def write_kymograph_csv(out_dir, result: ProtocolResult) -> None:
+    """Write ``kymograph_s.csv``, ``kymograph_k.csv`` and ``kymograph.csv``
+    into the directory ``out_dir`` (a ``pathlib.Path``).
 
-    ``columns`` picks the fields after t_seconds and r_over_R: the combined
-    export has both, a per-field file one. Radii are formatted once and the
-    file is written one time sample at a time.
+    One line per (t, r), row-major in time: t_seconds and r_over_R, then
+    S_norm, K_norm or both. One pass over time formats each value once and
+    writes that time sample to all three files.
     """
-    by_name = {"S_norm": result.kymograph_alkali, "K_norm": result.kymograph_noble}
-    arrays = [by_name[c] for c in columns]
     radii = csv_floats(result.radii_over_r.tolist())
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(("t_seconds", "r_over_R", *columns)) + "\n")
+    with (
+        open(out_dir / "kymograph_s.csv", "w", encoding="utf-8", newline="\n") as s_file,
+        open(out_dir / "kymograph_k.csv", "w", encoding="utf-8", newline="\n") as k_file,
+        open(out_dir / "kymograph.csv", "w", encoding="utf-8", newline="\n") as both_file,
+    ):
+        s_file.write("t_seconds,r_over_R,S_norm\n")
+        k_file.write("t_seconds,r_over_R,K_norm\n")
+        both_file.write("t_seconds,r_over_R,S_norm,K_norm\n")
         for i, t in enumerate(csv_floats(result.times.tolist())):
-            values = zip(radii, *(csv_floats(a[i].tolist()) for a in arrays))
-            handle.write("".join(f"{t},{','.join(row)}\n" for row in values))
+            lead = [f"{t},{r}," for r in radii]
+            s = csv_floats(result.kymograph_alkali[i].tolist())
+            k = csv_floats(result.kymograph_noble[i].tolist())
+            s_file.write("".join(f"{a}{b}\n" for a, b in zip(lead, s)))
+            k_file.write("".join(f"{a}{b}\n" for a, b in zip(lead, k)))
+            both_file.write("".join(f"{a}{b},{c}\n" for a, b, c in zip(lead, s, k)))

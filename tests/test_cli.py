@@ -257,6 +257,14 @@ def test_non_finite_config_file_value_is_a_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_removed_comb_key_is_unknown(tmp_path, capsys):
+    code = cli.main(["scenario", "--out", str(tmp_path / "o"), "--set", "comb_bandwidth_hz=1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "unknown configuration key 'comb_bandwidth_hz'" in captured.err
+    assert captured.out == ""
+
+
 def test_zero_dual_probability_exits_without_a_gain(tmp_path, capsys):
     code = cli.main(["scenario", "--out", str(tmp_path / "o"), "--set", "detector_efficiency=0"])
     captured = capsys.readouterr()

@@ -16,12 +16,6 @@ def test_waist_derived_from_divergence():
     )
 
 
-def test_explicit_waist_must_match():
-    lb.OpticalLinkParams(beam_waist=795e-9 / (math.pi * 3e-6))
-    with pytest.raises(ValueError):
-        lb.OpticalLinkParams(beam_waist=0.09)
-
-
 def test_beam_radius():
     assert lb.beam_radius(0.0, LINK) == LINK.beam_waist
     assert lb.beam_radius(500e3, LINK) == pytest.approx(1.5023698879175138, rel=1e-12)

@@ -121,9 +121,8 @@ def test_phase_operator_matches_public_rhs():
         alkali_diffusion=1e-8, noble_diffusion=2e-8, optical_decay=0.5,
     )
     state = sd.SpinFieldState(optical=p, alkali=s, noble=k)
-    dp, ds, dk = sd.rhs(state, ens, g, control_rabi=1.1, exchange_coupling=0.7,
-                        comb_detuning=0.2)
-    a = sd._phase_operator(ens, g, 1.1, 0.7, comb_detuning=0.2)
+    dp, ds, dk = sd.rhs(state, ens, g, control_rabi=1.1, exchange_coupling=0.7)
+    a = sd._phase_operator(ens, g, 1.1, 0.7)
     applied = (a @ np.stack((p, s, k), axis=1).ravel()).reshape(32, 3)
     assert np.allclose(applied[:, 0], dp, rtol=1e-14, atol=0)
     assert np.allclose(applied[:, 1], ds, rtol=1e-14, atol=0)
@@ -344,9 +343,8 @@ def test_kymograph_csv_schema(tmp_path):
     g = sd.RadialGrid(R, 16)
     res = sd.simulate_protocol(lossless(j=1.0), sd.ProtocolSchedule(dark_interval=0.5), g,
                                time_samples=5)
-    path = tmp_path / "kymo.csv"
-    sd.write_kymograph_csv(path, res)
-    lines = path.read_text().splitlines()
+    sd.write_kymograph_csv(tmp_path, res)
+    lines = (tmp_path / "kymograph.csv").read_text().splitlines()
     assert lines[0] == "t_seconds,r_over_R,S_norm,K_norm"
     assert len(lines) == 1 + len(res.times) * 16
     # row-major in time: the first block shares t = 0
@@ -360,16 +358,16 @@ def test_kymograph_files_match_naive_reference(tmp_path):
     g = sd.RadialGrid(R, 16)
     res = sd.simulate_protocol(lossless(j=1.0), sd.ProtocolSchedule(dark_interval=0.37), g,
                                time_samples=7)
+    sd.write_kymograph_csv(tmp_path, res)
     columns = {"S_norm": res.kymograph_alkali, "K_norm": res.kymograph_noble}
-    for picked in (("S_norm",), ("K_norm",), ("S_norm", "K_norm")):
+    for name, picked in (("kymograph_s.csv", ("S_norm",)), ("kymograph_k.csv", ("K_norm",)),
+                         ("kymograph.csv", ("S_norm", "K_norm"))):
         lines = [",".join(("t_seconds", "r_over_R") + picked)]
         for i, t in enumerate(res.times):
             for j, r in enumerate(res.radii_over_r):
                 values = [csv_float(float(columns[c][i, j])) for c in picked]
                 lines.append(",".join([csv_float(float(t)), csv_float(float(r)), *values]))
-        path = tmp_path / f"kymo_{len(picked)}_{picked[0]}.csv"
-        sd.write_kymograph_csv(path, res, columns=picked)
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert (tmp_path / name).read_bytes() == ("\n".join(lines) + "\n").encode(), name
 
 
 def test_schedule_validation():
