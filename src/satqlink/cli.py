@@ -53,12 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="satqlink", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="configuration file (key = value lines)")
-    common.add_argument("--out", metavar="DIR", help="output directory (default from config)")
-    common.add_argument(
-        "--format",
-        choices=cfgmod.OUTPUT_FORMATS,
-        help="scenario artifact format (default from config)",
-    )
+    common.add_argument("--out", metavar="DIR", default="out", help="output directory (default out)")
     common.add_argument(
         "--set",
         dest="overrides",
@@ -67,12 +62,25 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         help="override one configuration key; repeatable",
     )
-    common.add_argument("--eta-mem", type=_finite_float, help="shorthand for --set eta_mem=VALUE")
 
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_scenario = sub.add_parser(
         "scenario", parents=[common], help="architecture comparison table"
+    )
+    p_scenario.add_argument(
+        "--format",
+        choices=("csv", "markdown", "text"),
+        default="markdown",
+        help="scenario artifact format (default markdown)",
+    )
+    p_scenario.add_argument(
+        "--eta-mem",
+        type=lambda text: f"eta_mem={_finite_float(text)!r}",
+        dest="overrides",
+        action="append",
+        metavar="X",
+        help="shorthand for --set eta_mem=X",
     )
     p_scenario.add_argument(
         "--require-feasible",
@@ -120,12 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_memory.add_argument(
         "--rtol",
         type=_finite_float,
-        help=f"relative tolerance (default {spindyn.SolverConfig.relative_tolerance:g})",
+        default=spindyn.SolverConfig.relative_tolerance,
+        help="relative tolerance (default %(default)g)",
     )
     p_memory.add_argument(
         "--atol",
         type=_finite_float,
-        help=f"absolute tolerance (default {spindyn.SolverConfig.absolute_tolerance:g})",
+        default=spindyn.SolverConfig.absolute_tolerance,
+        help="absolute tolerance (default %(default)g)",
     )
 
     p_gainmap = sub.add_parser(
@@ -143,16 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_run_config(args) -> cfgmod.RunConfig:
     cfg = cfgmod.load_config(args.config) if args.config else cfgmod.RunConfig()
-    overrides = list(args.overrides)
-    if args.eta_mem is not None:
-        overrides.append(f"eta_mem={args.eta_mem!r}")
-    if overrides:
-        cfg = cfgmod.apply_overrides(cfg, overrides)
-    return cfg
+    return cfgmod.apply_overrides(cfg, args.overrides) if args.overrides else cfg
 
 
 def _prepare_out(args, cfg) -> Path:
-    out = Path(args.out if args.out else cfg.output_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "effective_config.txt").write_text(cfgmod.emit_config(cfg), encoding="utf-8")
     return out
@@ -170,10 +175,9 @@ def _cmd_scenario(args) -> int:
     cfg = _load_run_config(args)
     out = _prepare_out(args, cfg)
     result = scn.compare_scenarios(cfgmod.scenario_config(cfg))
-    fmt = args.format if args.format else cfg.output_format
-    if fmt == "markdown":
+    if args.format == "markdown":
         (out / "scenario.md").write_text(scn.markdown_comparison(result), encoding="utf-8")
-    elif fmt == "text":
+    elif args.format == "text":
         (out / "scenario.txt").write_text(scn.record_comparison(result), encoding="utf-8")
     else:
         (out / "scenario.csv").write_text(scn.csv_comparison(result), encoding="utf-8")
@@ -221,12 +225,9 @@ def _cmd_memory(args) -> int:
         rabi_frequency=args.rabi,
         exchange_window=args.exchange_window,
     )
-    tolerances = {
-        name: value
-        for name, value in (("relative_tolerance", args.rtol), ("absolute_tolerance", args.atol))
-        if value is not None
-    }
-    solver = spindyn.SolverConfig(initial_profile=args.profile, **tolerances)
+    solver = spindyn.SolverConfig(
+        initial_profile=args.profile, relative_tolerance=args.rtol, absolute_tolerance=args.atol
+    )
     grid = spindyn.RadialGrid(cfg.cell_radius_m, args.grid)
     try:
         result = spindyn.simulate_protocol(ens, schedule, grid, solver, time_samples=args.samples)
@@ -238,7 +239,9 @@ def _cmd_memory(args) -> int:
         return EXIT_SOLVER
     spindyn.write_kymograph_csv(out, result)
     sys.stdout.write(f"eta_mem = {result.eta_mem:.6f}\n")
-    sys.stdout.write(f"wrote {out / 'kymograph_s.csv'} and {out / 'kymograph_k.csv'}\n")
+    sys.stdout.write(
+        f"wrote {out / 'kymograph_s.csv'}, {out / 'kymograph_k.csv'} and {out / 'kymograph.csv'}\n"
+    )
     return EXIT_OK
 
 

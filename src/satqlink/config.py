@@ -29,16 +29,11 @@ __all__ = [
     "load_config",
     "apply_overrides",
     "emit_config",
-    "orbital_config",
-    "optical_link_params",
-    "qkd_params",
     "ensemble_params",
     "scenario_config",
     "ENSEMBLE_PRESETS",
     "RESCALED_EXCHANGE_FACTOR",
 ]
-
-OUTPUT_FORMATS = ("csv", "markdown", "text")
 
 ENSEMBLE_PRESETS = ("paper-literal", "rescaled", "lossless")
 
@@ -91,9 +86,6 @@ class RunConfig:
     dual_slant_range_km: float = 1461.9
     buffered_slant_range_km: float = 500.0
     ogs_separation_km: float = 3267.9
-    # output
-    output_dir: str = "out"
-    output_format: str = "markdown"
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -102,7 +94,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 def _convert(key: str, raw: str, where: str):
     kind = _FIELD_TYPES[key]
     try:
-        value = {"int": int, "float": float}.get(kind, str)(raw)
+        value = {"int": int, "float": float}[kind](raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: invalid value {raw!r} for key '{key}'") from exc
     if kind == "float" and not math.isfinite(value):
@@ -128,9 +120,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         if key in values:
             raise ConfigError(f"{where}: duplicate key '{key}'")
         values[key] = _convert(key, raw, where)
-    cfg = RunConfig(**values)
-    _validate(cfg, source)
-    return cfg
+    return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:
@@ -152,16 +142,7 @@ def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"override: unknown configuration key '{key}'")
         updates[key] = _convert(key, raw.strip(), "override")
-    out = replace(cfg, **updates)
-    _validate(out, "override")
-    return out
-
-
-def _validate(cfg: RunConfig, source: str) -> None:
-    if cfg.output_format not in OUTPUT_FORMATS:
-        raise ConfigError(
-            f"{source}: output_format must be one of {OUTPUT_FORMATS}, got '{cfg.output_format}'"
-        )
+    return replace(cfg, **updates)
 
 
 def emit_config(cfg: RunConfig) -> str:
@@ -172,37 +153,6 @@ def emit_config(cfg: RunConfig) -> str:
 
 # ---------------------------------------------------------------------------
 # builders for the domain parameter packs
-
-
-def orbital_config(cfg: RunConfig) -> OrbitalConfig:
-    return OrbitalConfig(
-        earth_radius=cfg.earth_radius_km,
-        altitude=cfg.altitude_km,
-        gravitational_parameter=cfg.gravitational_parameter_km3_s2,
-    )
-
-
-def optical_link_params(cfg: RunConfig) -> OpticalLinkParams:
-    return OpticalLinkParams(
-        wavelength=cfg.wavelength_nm * 1e-9,
-        divergence_half_angle=cfg.divergence_half_angle_urad * 1e-6,
-        pointing_jitter_rms=cfg.pointing_jitter_urad * 1e-6,
-        receiver_radius=cfg.receiver_diameter_m / 2.0,
-        zenith_transmission=cfg.zenith_transmission,
-        detector_efficiency=cfg.detector_efficiency,
-    )
-
-
-def qkd_params(cfg: RunConfig) -> QKDParams:
-    return QKDParams(
-        channel_use_rate=cfg.channel_use_rate_hz,
-        qber_x=cfg.qber_x,
-        qber_z=cfg.qber_z,
-        ec_inefficiency=cfg.ec_inefficiency,
-        herald_probability=cfg.herald_probability,
-        mode_count=cfg.mode_count,
-        memory_lifetime=cfg.memory_lifetime_s,
-    )
 
 
 def ensemble_params(cfg: RunConfig, preset: str) -> EnsembleParams:
@@ -242,9 +192,28 @@ def ensemble_params(cfg: RunConfig, preset: str) -> EnsembleParams:
 
 def scenario_config(cfg: RunConfig) -> ScenarioConfig:
     return ScenarioConfig(
-        orbit=orbital_config(cfg),
-        link=optical_link_params(cfg),
-        qkd=qkd_params(cfg),
+        orbit=OrbitalConfig(
+            earth_radius=cfg.earth_radius_km,
+            altitude=cfg.altitude_km,
+            gravitational_parameter=cfg.gravitational_parameter_km3_s2,
+        ),
+        link=OpticalLinkParams(
+            wavelength=cfg.wavelength_nm * 1e-9,
+            divergence_half_angle=cfg.divergence_half_angle_urad * 1e-6,
+            pointing_jitter_rms=cfg.pointing_jitter_urad * 1e-6,
+            receiver_radius=cfg.receiver_diameter_m / 2.0,
+            zenith_transmission=cfg.zenith_transmission,
+            detector_efficiency=cfg.detector_efficiency,
+        ),
+        qkd=QKDParams(
+            channel_use_rate=cfg.channel_use_rate_hz,
+            qber_x=cfg.qber_x,
+            qber_z=cfg.qber_z,
+            ec_inefficiency=cfg.ec_inefficiency,
+            herald_probability=cfg.herald_probability,
+            mode_count=cfg.mode_count,
+            memory_lifetime=cfg.memory_lifetime_s,
+        ),
         dual_elevation=math.radians(cfg.dual_elevation_deg),
         dual_slant_range=cfg.dual_slant_range_km,
         buffered_slant_range=cfg.buffered_slant_range_km,

@@ -62,9 +62,13 @@ INITIAL_PROFILES = ("uniform", "fundamental-mode")
 # the real/imaginary pair.
 _BAND = 7
 
+# Right-hand-side evaluations one phase may take: about 20x the largest phase of
+# a legitimate run, so that e.g. --storage 1e300 fails instead of never ending.
+_MAX_RHS_PER_PHASE = 200_000
+
 
 class SolverFailure(RuntimeError):
-    """Adaptive time stepping could not satisfy the requested tolerances."""
+    """Time stepping missed its tolerances or spent a phase's evaluation budget."""
 
 
 class RadialGrid:
@@ -381,8 +385,8 @@ def integrate(
     by LSODA with its real band as the constant Jacobian; the solver picks
     Adams or BDF steps from the stiffness it observes. Dense output is
     evaluated at ``sample_times``; phase boundaries are always included.
-    Raises :class:`SolverFailure`, naming the phase and the solver counts,
-    when the stepper cannot reach the requested tolerances.
+    Raises :class:`SolverFailure`, naming the phase, when the stepper cannot
+    reach the requested tolerances or exceeds ``_MAX_RHS_PER_PHASE``.
     """
     solver = solver or SolverConfig()
     phases = _schedule_phases(schedule, ens)
@@ -407,8 +411,20 @@ def integrate(
         t_eval = np.unique(np.concatenate((inside, [t1])))
         a = _phase_operator(ens, grid, omega, j_value)
         band = _real_band(a)
+        evals = 0
+
+        def fun(t, y):
+            nonlocal evals
+            evals += 1
+            if evals > _MAX_RHS_PER_PHASE:
+                raise SolverFailure(
+                    f"phase {index + 1} of {len(phases)} (t = {t0:g} to {t1:g} s) exceeded "
+                    f"{_MAX_RHS_PER_PHASE} right-hand-side evaluations; stopped at t = {t:g} s"
+                )
+            return (a @ y.view(np.complex128)).view(np.float64)
+
         sol = solve_ivp(
-            lambda t, y: (a @ y.view(np.complex128)).view(np.float64),
+            fun,
             (t0, t1),
             y,
             method="LSODA",

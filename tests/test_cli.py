@@ -265,6 +265,36 @@ def test_removed_comb_key_is_unknown(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_removed_output_key_is_unknown(tmp_path, capsys):
+    code = cli.main(["scenario", "--out", str(tmp_path / "o"), "--set", "output_format=text"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "unknown configuration key 'output_format'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [("linkmap", "--format", "csv"), ("gainmap", "--eta-mem", "0.5")]
+)
+def test_scenario_only_flags_are_usage_errors_elsewhere(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main([*argv, "--out", str(tmp_path / "o")])
+    assert info.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_memory_rhs_budget_is_a_solver_failure(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(spindyn, "_MAX_RHS_PER_PHASE", 1_000)
+    code = cli.main([
+        "memory", "--out", str(tmp_path / "o"), "--grid", "16", "--samples", "3",
+        "--storage", "1e7",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "1000 right-hand-side evaluations" in err
+
+
 def test_zero_dual_probability_exits_without_a_gain(tmp_path, capsys):
     code = cli.main(["scenario", "--out", str(tmp_path / "o"), "--set", "detector_efficiency=0"])
     captured = capsys.readouterr()
@@ -331,6 +361,7 @@ def test_link_commands_load_no_scipy(tmp_path):
     script = f"""
 import sys
 import satqlink
+assert "numpy" not in sys.modules
 from satqlink import cli, linkbudget
 out = {str(tmp_path)!r}
 for argv in (["scenario"], ["linkmap"], ["gainmap"]):
