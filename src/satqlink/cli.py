@@ -125,18 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="uniform",
         help="initial alkali profile",
     )
-    p_memory.add_argument(
-        "--rtol",
-        type=_finite_float,
-        default=spindyn.SolverConfig.relative_tolerance,
-        help="relative tolerance (default %(default)g)",
-    )
-    p_memory.add_argument(
-        "--atol",
-        type=_finite_float,
-        default=spindyn.SolverConfig.absolute_tolerance,
-        help="absolute tolerance (default %(default)g)",
-    )
 
     p_gainmap = sub.add_parser(
         "gainmap", parents=[common], help="buffering gain grid"
@@ -151,18 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_run_config(args) -> cfgmod.RunConfig:
-    cfg = cfgmod.load_config(args.config) if args.config else cfgmod.RunConfig()
-    return cfgmod.apply_overrides(cfg, args.overrides) if args.overrides else cfg
-
-
-def _prepare_out(args, cfg) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "effective_config.txt").write_text(cfgmod.emit_config(cfg), encoding="utf-8")
-    return out
-
-
 def _axis(name: str, lo: float, hi: float, steps: int) -> np.ndarray:
     if steps < 2:
         raise ConfigError(f"{name}: steps must be at least 2")
@@ -171,9 +147,7 @@ def _axis(name: str, lo: float, hi: float, steps: int) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _cmd_scenario(args) -> int:
-    cfg = _load_run_config(args)
-    out = _prepare_out(args, cfg)
+def _cmd_scenario(args, cfg: cfgmod.RunConfig, out: Path) -> int:
     result = scn.compare_scenarios(cfgmod.scenario_config(cfg))
     if args.format == "markdown":
         (out / "scenario.md").write_text(scn.markdown_comparison(result), encoding="utf-8")
@@ -188,9 +162,7 @@ def _cmd_scenario(args) -> int:
     return EXIT_OK
 
 
-def _cmd_linkmap(args) -> int:
-    cfg = _load_run_config(args)
-    out = _prepare_out(args, cfg)
+def _cmd_linkmap(args, cfg: cfgmod.RunConfig, out: Path) -> int:
     ranges = _axis("range axis", args.range_min, args.range_max, args.range_steps)
     jitters = _axis("jitter axis", args.jitter_min * 1e-6, args.jitter_max * 1e-6, args.jitter_steps)
     grid = scn.downlink_probability_map(ranges, jitters, cfgmod.scenario_config(cfg))
@@ -200,9 +172,7 @@ def _cmd_linkmap(args) -> int:
     return EXIT_OK
 
 
-def _cmd_gainmap(args) -> int:
-    cfg = _load_run_config(args)
-    out = _prepare_out(args, cfg)
+def _cmd_gainmap(args, cfg: cfgmod.RunConfig, out: Path) -> int:
     elevations = _axis(
         "elevation axis", math.radians(args.elev_min), math.radians(args.elev_max), args.elev_steps
     )
@@ -214,9 +184,7 @@ def _cmd_gainmap(args) -> int:
     return EXIT_OK
 
 
-def _cmd_memory(args) -> int:
-    cfg = _load_run_config(args)
-    out = _prepare_out(args, cfg)
+def _cmd_memory(args, cfg: cfgmod.RunConfig, out: Path) -> int:
     ens = cfgmod.ensemble_params(cfg, preset=args.preset)
     schedule = spindyn.ProtocolSchedule(
         write_time=args.write_time,
@@ -225,12 +193,11 @@ def _cmd_memory(args) -> int:
         rabi_frequency=args.rabi,
         exchange_window=args.exchange_window,
     )
-    solver = spindyn.SolverConfig(
-        initial_profile=args.profile, relative_tolerance=args.rtol, absolute_tolerance=args.atol
-    )
     grid = spindyn.RadialGrid(cfg.cell_radius_m, args.grid)
     try:
-        result = spindyn.simulate_protocol(ens, schedule, grid, solver, time_samples=args.samples)
+        result = spindyn.simulate_protocol(
+            ens, schedule, grid, args.profile, time_samples=args.samples
+        )
     except SolverFailure as exc:
         sys.stderr.write(
             f"solver failure: {exc}\n"
@@ -257,7 +224,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        cfg = cfgmod.load_config(args.config) if args.config else cfgmod.RunConfig()
+        if args.overrides:
+            cfg = cfgmod.apply_overrides(cfg, args.overrides)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "effective_config.txt").write_text(cfgmod.emit_config(cfg), encoding="utf-8")
+        return _COMMANDS[args.command](args, cfg, out)
     except ValueError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG

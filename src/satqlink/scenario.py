@@ -156,25 +156,26 @@ def gain_map(
 
     Cell (theta, eta_mem): buffered links at elevation theta with slant
     range from the closed-form geometry, against the configured dual
-    reference. Raises ValueError when the dual-downlink probability is zero,
-    exactly as ``compare_scenarios`` does.
+    reference. Memory efficiencies must lie in [0, 1], the range
+    ``ScenarioConfig`` accepts for ``eta_mem``. Raises ValueError when the
+    dual-downlink probability is zero, exactly as ``compare_scenarios`` does.
     """
     elevations = _checked_axis("elevation_axis_rad", elevation_axis_rad)
-    memories = _checked_axis("eta_mem_axis", eta_mem_axis, allow_zero=True)
+    memories = _checked_axis("eta_mem_axis", eta_mem_axis, allow_zero=True, high=1.0)
     arm_dual = _dual_arm(cfg)
     ranges = np.array([geometry.slant_range_from_elevation(t, cfg.orbit) for t in elevations.tolist()])
     arm = linkbudget.single_link_efficiency(elevations, ranges * KM, cfg.link)
     return np.outer(arm * arm / (arm_dual * arm_dual), memories)
 
 
-def _checked_axis(name: str, axis, allow_zero: bool = False) -> np.ndarray:
+def _checked_axis(name: str, axis, allow_zero: bool = False, high: float = math.inf) -> np.ndarray:
     arr = np.asarray(axis, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D axis")
     if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
         raise ValueError(f"{name} must be strictly ascending")
     low = 0.0 if allow_zero else np.nextafter(0.0, 1.0)
-    if arr[0] < low:
+    if arr[0] < low or arr[-1] > high:
         raise ValueError(f"{name} values out of range")
     return arr
 
@@ -198,9 +199,9 @@ def markdown_comparison(result: ScenarioResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def record_comparison(result: ScenarioResult) -> str:
-    """Key-value record of the comparison, full precision."""
-    items = [
+def _comparison_items(result: ScenarioResult) -> list[tuple[str, str]]:
+    """(quantity, value) pairs of the comparison, full precision."""
+    return [
         ("eta_dual", csv_float(result.eta_dual)),
         ("eta_buffered", csv_float(result.eta_buffered)),
         ("skr_dual_bits_per_s", csv_float(result.skr_dual)),
@@ -209,16 +210,16 @@ def record_comparison(result: ScenarioResult) -> str:
         ("t_buffer_s", csv_float(result.t_buffer)),
         ("feasible", "true" if result.feasible else "false"),
     ]
-    return "".join(f"{key} = {value}\n" for key, value in items)
+
+
+def record_comparison(result: ScenarioResult) -> str:
+    """Key-value record of the comparison, full precision."""
+    return "".join(f"{key} = {value}\n" for key, value in _comparison_items(result))
 
 
 def csv_comparison(result: ScenarioResult) -> str:
     """The comparison as quantity,value CSV rows."""
-    rows = ["quantity,value"]
-    for line in record_comparison(result).splitlines():
-        key, _, value = line.partition(" = ")
-        rows.append(f"{key},{value}")
-    return "\n".join(rows) + "\n"
+    return "quantity,value\n" + "".join(f"{k},{v}\n" for k, v in _comparison_items(result))
 
 
 def _grid_csv(header: str, rows: list[float], columns: list[float], grid: np.ndarray) -> str:

@@ -32,7 +32,7 @@ first use: importing this module loads no scipy, only a protocol solve does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "RadialGrid",
     "SpinFieldState",
     "ProtocolSchedule",
-    "SolverConfig",
     "Trajectory",
     "ProtocolResult",
     "radial_laplacian",
@@ -65,6 +64,16 @@ _BAND = 7
 # Right-hand-side evaluations one phase may take: about 20x the largest phase of
 # a legitimate run, so that e.g. --storage 1e300 fails instead of never ending.
 _MAX_RHS_PER_PHASE = 200_000
+
+# LSODA tolerances of every phase. At these values the default protocol's eta
+# agrees with a tight explicit Runge-Kutta reference (rtol 1e-12) to 1e-9.
+_RTOL = 1e-10
+_ATOL = 1e-12
+
+# A phase with ||A||_1 * duration at most this is advanced as y + tau A y; the
+# dropped terms, at most about 5e-11 relative, are under _RTOL. LSODA cannot
+# step spans near the underflow range or below the resolution of the start time.
+_FIRST_ORDER_LIMIT = 1e-5
 
 
 class SolverFailure(RuntimeError):
@@ -182,21 +191,6 @@ class ProtocolSchedule:
         if ens.exchange_coupling <= 0.0:
             raise ValueError("exchange_window is required when the exchange coupling is zero")
         return math.pi / (2.0 * ens.exchange_coupling)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Adaptive-integrator tolerances and the initial spatial profile."""
-
-    relative_tolerance: float = 1e-10
-    absolute_tolerance: float = 1e-12
-    initial_profile: str = "uniform"
-
-    def __post_init__(self):
-        if not (self.relative_tolerance > 0.0 and self.absolute_tolerance > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.initial_profile not in INITIAL_PROFILES:
-            raise ValueError(f"initial_profile must be one of {INITIAL_PROFILES}")
 
 
 @dataclass(frozen=True)
@@ -345,7 +339,8 @@ def solve_ivp(*args, **kwargs):
 
 
 def _schedule_phases(schedule: ProtocolSchedule, ens: EnsembleParams):
-    """(duration, rabi, exchange) tuples; zero-length phases dropped."""
+    """(duration, rabi, exchange) of write, transfer, storage, reverse
+    transfer and read, in that order; zero-length phases dropped."""
     t_ex = schedule.resolve_exchange_window(ens)
     j = ens.exchange_coupling
     raw = [
@@ -364,9 +359,13 @@ def schedule_duration(schedule: ProtocolSchedule, ens: EnsembleParams) -> float:
 
 
 def retrieval_instant(schedule: ProtocolSchedule, ens: EnsembleParams) -> float:
-    """Time at which the reverse transfer completes and S is read back."""
-    t_ex = schedule.resolve_exchange_window(ens)
-    return schedule.write_time + 2.0 * t_ex + schedule.dark_interval
+    """Time at which the reverse transfer completes and S is read back.
+
+    The read window is the last phase, so this is the duration of the
+    schedule without it, summed phase by phase exactly as ``integrate``
+    accumulates its phase boundaries: the result is one of them, bit for bit.
+    """
+    return schedule_duration(replace(schedule, read_time=0.0), ens)
 
 
 def integrate(
@@ -374,7 +373,6 @@ def integrate(
     schedule: ProtocolSchedule,
     ens: EnsembleParams,
     grid: RadialGrid,
-    solver: SolverConfig | None = None,
     sample_times: np.ndarray | None = None,
 ) -> Trajectory:
     """Integrate one protocol schedule from an initial state.
@@ -383,12 +381,15 @@ def integrate(
     restarted at every phase boundary (exact event handling at the control
     discontinuities). Within a phase the assembled operator A is integrated
     by LSODA with its real band as the constant Jacobian; the solver picks
-    Adams or BDF steps from the stiffness it observes. Dense output is
-    evaluated at ``sample_times``; phase boundaries are always included.
-    Raises :class:`SolverFailure`, naming the phase, when the stepper cannot
-    reach the requested tolerances or exceeds ``_MAX_RHS_PER_PHASE``.
+    Adams or BDF steps from the stiffness it observes, at the fixed
+    tolerances ``_RTOL`` and ``_ATOL``; a phase too short to step is
+    advanced by its first-order term (see ``_FIRST_ORDER_LIMIT``). Dense
+    output is evaluated at ``sample_times``; phase boundaries are always
+    included. Raises :class:`SolverFailure`, naming the phase, when the
+    stepper cannot reach the tolerances or exceeds ``_MAX_RHS_PER_PHASE``,
+    and ValueError for a phase that still matters but is shorter than the
+    float resolution of its start time.
     """
-    solver = solver or SolverConfig()
     phases = _schedule_phases(schedule, ens)
     total = sum(d for d, _, _ in phases)
 
@@ -410,6 +411,19 @@ def integrate(
         inside = requested[(requested > t0 + 1e-15 * max(t1, 1.0)) & (requested < t1 - 1e-15 * max(t1, 1.0))]
         t_eval = np.unique(np.concatenate((inside, [t1])))
         a = _phase_operator(ens, grid, omega, j_value)
+        if duration * abs(a).sum(axis=0).max() <= _FIRST_ORDER_LIMIT:
+            slope = (a @ y.view(np.complex128)).view(np.float64)
+            t_eval = t_eval[t_eval > t0]  # empty when t0 + duration rounds to t0
+            times.extend(t_eval)
+            frames.extend(y + (t - t0) * slope for t in t_eval)
+            y = frames[-1]
+            t0 = t1
+            continue
+        if t1 == t0:
+            raise ValueError(
+                f"phase {index + 1} of {len(phases)} ({duration:g} s) is shorter than "
+                f"the time resolution at t = {t0:g} s"
+            )
         band = _real_band(a)
         evals = 0
 
@@ -429,8 +443,8 @@ def integrate(
             y,
             method="LSODA",
             t_eval=t_eval,
-            rtol=solver.relative_tolerance,
-            atol=solver.absolute_tolerance,
+            rtol=_RTOL,
+            atol=_ATOL,
             jac=lambda t, y: band,
             lband=_BAND,
             uband=_BAND,
@@ -462,25 +476,25 @@ def simulate_protocol(
     ens: EnsembleParams,
     schedule: ProtocolSchedule,
     grid: RadialGrid,
-    solver: SolverConfig | None = None,
-    time_samples: int = 201,
+    profile: str = "uniform",
+    *,
+    time_samples: int,
 ) -> ProtocolResult:
     """Run write, transfer, storage, reverse transfer and read; report kymographs.
 
-    The alkali spin is loaded at t = 0 with the profile selected in the
-    solver config and unit volume norm. The memory efficiency is the ratio
-    of the retrieved to the loaded alkali volume norm, measured when the
-    reverse transfer completes. Kymographs are |S|^2 and |K|^2 on a uniform
-    time grid, normalized so the initial alkali profile peaks at 1.
+    The alkali spin is loaded at t = 0 with the given initial profile and
+    unit volume norm. The memory efficiency is the ratio of the retrieved to
+    the loaded alkali volume norm, measured when the reverse transfer
+    completes (a phase boundary, so always sampled). Kymographs are |S|^2
+    and |K|^2 on a uniform time grid of ``time_samples`` points plus the
+    phase boundaries, normalized so the initial alkali profile peaks at 1.
     """
-    solver = solver or SolverConfig()
     if time_samples < 2:
         raise ValueError("time_samples must be at least 2")
-    state0 = initial_state(grid, solver.initial_profile)
-    total = schedule_duration(schedule, ens)
+    state0 = initial_state(grid, profile)
     t_ret = retrieval_instant(schedule, ens)
-    samples = np.unique(np.concatenate((np.linspace(0.0, total, time_samples), [t_ret])))
-    traj = integrate(state0, schedule, ens, grid, solver, sample_times=samples)
+    samples = np.linspace(0.0, schedule_duration(schedule, ens), time_samples)
+    traj = integrate(state0, schedule, ens, grid, sample_times=samples)
 
     idx_ret = int(np.argmin(np.abs(traj.times - t_ret)))
     norm_in = grid.volume_norm_sq(state0.alkali)

@@ -100,6 +100,14 @@ def test_linkmap_rejects_bad_axes(run_cli, tmp_path):
     assert cp.returncode == 1
 
 
+def test_gainmap_rejects_memory_efficiency_above_one(tmp_path, capsys):
+    # as --eta-mem 1.5 is rejected by ScenarioConfig
+    code = cli.main(["gainmap", "--out", str(tmp_path), "--mem-max", "1.5"])
+    assert code == 1
+    assert "eta_mem_axis values out of range" in capsys.readouterr().err
+    assert not (tmp_path / "gainmap.csv").exists()
+
+
 def test_linkmap_default_extents_include_operating_jitter(run_cli, tmp_path):
     out = tmp_path / "o"
     cp = run_cli("linkmap", "--out", out)
@@ -189,6 +197,17 @@ def test_memory_paper_literal_preset_runs(run_cli, tmp_path):
     assert max(k_values) < 1e-4
 
 
+def test_memory_paper_literal_default_transfer_window(tmp_path, capsys):
+    # the literal coupling's full pi/(2J) ~ 7.9e4 s transfer: the stiffest default
+    code = cli.main([
+        "memory", "--out", str(tmp_path / "o"), "--preset", "paper-literal",
+        "--grid", "16", "--samples", "3",
+    ])
+    assert code == 0, capsys.readouterr().err
+    eta = float(capsys.readouterr().out.split("eta_mem =")[1].split()[0])
+    assert 0.0 <= eta <= 1.0
+
+
 def test_memory_grid_refinement_agreement(run_cli, tmp_path):
     # the smooth profile isolates grid convergence from the wall layer of
     # the uniform load, which needs far finer grids to settle
@@ -215,24 +234,6 @@ def test_memory_solver_failure_exit_code(monkeypatch, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "solver failure" in err and "schedule" in err
-
-
-@pytest.mark.parametrize(
-    "flags, expected",
-    [((), spindyn.SolverConfig()),
-     (("--rtol", "1e-6"), spindyn.SolverConfig(relative_tolerance=1e-6)),
-     (("--atol", "1e-9"), spindyn.SolverConfig(absolute_tolerance=1e-9))],
-)
-def test_memory_tolerances_default_to_solver_config(monkeypatch, tmp_path, flags, expected):
-    seen = []
-
-    def capture(ens, schedule, grid, solver, time_samples):
-        seen.append(solver)
-        raise SolverFailure("captured")
-
-    monkeypatch.setattr(spindyn, "simulate_protocol", capture)
-    cli.main(["memory", "--out", str(tmp_path / "o"), "--grid", "32", *flags])
-    assert seen == [expected]
 
 
 def test_usage_error_maps_to_config_exit_code(run_cli, tmp_path):
@@ -274,7 +275,8 @@ def test_removed_output_key_is_unknown(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [("linkmap", "--format", "csv"), ("gainmap", "--eta-mem", "0.5")]
+    "argv",
+    [("linkmap", "--format", "csv"), ("gainmap", "--eta-mem", "0.5"), ("memory", "--rtol", "1e-6")],
 )
 def test_scenario_only_flags_are_usage_errors_elsewhere(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as info:
@@ -316,7 +318,7 @@ def test_gainmap_without_a_dual_probability_exits_without_a_gain(run_cli, tmp_pa
 @pytest.mark.parametrize(
     "argv",
     [("memory", "--grid", "16", "--samples", "3", "--storage", "nan"),
-     ("memory", "--grid", "16", "--samples", "3", "--rtol", "nan"),
+     ("memory", "--grid", "16", "--samples", "3", "--exchange-window", "nan"),
      ("gainmap", "--mem-max", "inf")],
 )
 def test_non_finite_flag_is_a_usage_error(run_cli, tmp_path, argv):

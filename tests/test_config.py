@@ -10,7 +10,7 @@ from satqlink.geometry import OrbitalConfig
 from satqlink.linkbudget import OpticalLinkParams
 from satqlink.scenario import ScenarioConfig
 from satqlink.skr import QKDParams
-from satqlink.spindyn import ProtocolSchedule, RadialGrid, SolverConfig
+from satqlink.spindyn import ProtocolSchedule, RadialGrid
 
 REMOVED_KEYS = (
     "source_efficiency",
@@ -186,7 +186,6 @@ _DOMAIN_CLASSES = {
     ControlPulse: {},
     ScenarioConfig: {},
     ProtocolSchedule: {},
-    SolverConfig: {},
 }
 _FLOAT_FIELDS = [
     (cls, f.name, base)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satqlink import spindyn as sd
 from satqlink.afc import EnsembleParams
@@ -272,15 +274,19 @@ def test_spatial_convergence_against_fine_reference():
     assert e64 / e128 == pytest.approx(4.0, rel=0.2)
 
 
-def test_tolerance_refinement_consistency():
+def test_tolerance_refinement_consistency(monkeypatch):
     g = sd.RadialGrid(R, 32)
     ens = lossless(j=1.0)
     sched = sd.ProtocolSchedule(dark_interval=0.3)
-    coarse = sd.SolverConfig(relative_tolerance=1e-6, absolute_tolerance=1e-8)
-    fine = sd.SolverConfig(relative_tolerance=1e-9, absolute_tolerance=1e-11)
     t_end = sd.schedule_duration(sched, ens)
-    a = sd.integrate(sd.initial_state(g), sched, ens, g, coarse, np.array([t_end]))
-    b = sd.integrate(sd.initial_state(g), sched, ens, g, fine, np.array([t_end]))
+
+    def run(rtol, atol):
+        monkeypatch.setattr(sd, "_RTOL", rtol)
+        monkeypatch.setattr(sd, "_ATOL", atol)
+        return sd.integrate(sd.initial_state(g), sched, ens, g, np.array([t_end]))
+
+    a = run(1e-6, 1e-8)
+    b = run(1e-9, 1e-11)
     scale = np.max(np.abs(b.alkali[-1]))
     assert np.max(np.abs(a.alkali[-1] - b.alkali[-1])) / scale < 1e-6
 
@@ -291,7 +297,8 @@ def test_tolerance_refinement_consistency():
 
 def test_protocol_lossless_round_trip():
     g = sd.RadialGrid(R, 32)
-    res = sd.simulate_protocol(lossless(j=1.0), sd.ProtocolSchedule(dark_interval=2.0), g)
+    res = sd.simulate_protocol(lossless(j=1.0), sd.ProtocolSchedule(dark_interval=2.0), g,
+                               time_samples=201)
     assert res.eta_mem == pytest.approx(1.0, abs=1e-6)
 
 
@@ -305,7 +312,7 @@ def test_protocol_decoupled_limit():
     )
     sched = sd.ProtocolSchedule(dark_interval=300.0, exchange_window=25.0)
     g = sd.RadialGrid(R, 32)
-    res = sd.simulate_protocol(ens, sched, g)
+    res = sd.simulate_protocol(ens, sched, g, time_samples=201)
     t_ret = res.retrieval_time
     assert res.eta_mem == pytest.approx(math.exp(-2.0 * gamma_s * t_ret), rel=1e-6)
     assert np.max(res.kymograph_noble) == 0.0
@@ -386,13 +393,12 @@ def test_schedule_validation():
 
 
 def test_solver_config_validation():
-    for bad in (0.0, math.nan):
-        with pytest.raises(ValueError):
-            sd.SolverConfig(relative_tolerance=bad)
-        with pytest.raises(ValueError):
-            sd.SolverConfig(absolute_tolerance=bad)
-    with pytest.raises(ValueError):
-        sd.SolverConfig(initial_profile="gaussian")
+    g = sd.RadialGrid(R, 16)
+    with pytest.raises(ValueError, match="initial_profile"):
+        sd.initial_state(g, "gaussian")
+    with pytest.raises(ValueError, match="initial_profile"):
+        sd.simulate_protocol(lossless(j=1.0), sd.ProtocolSchedule(), g, "gaussian",
+                             time_samples=2)
 
 
 def test_solver_failure_is_reported(monkeypatch):
@@ -410,14 +416,35 @@ def test_solver_failure_is_reported(monkeypatch):
 
     monkeypatch.setattr(sd, "solve_ivp", fail_second_phase)
     g = sd.RadialGrid(R, 32)
+    # write, transfer and reverse transfer: three phases that LSODA steps
+    sched = sd.ProtocolSchedule(write_time=0.5, rabi_frequency=1.0)
     with pytest.raises(sd.SolverFailure) as info:
-        sd.integrate(sd.initial_state(g), sd.ProtocolSchedule(dark_interval=1.0),
-                     lossless(j=1.0), g)
+        sd.integrate(sd.initial_state(g), sched, lossless(j=1.0), g)
     message = str(info.value)
     assert "step size underflow" in message
     assert "phase 2 of 3" in message
     assert f"t = {calls[1][0]:g} to {calls[1][1]:g} s" in message
     assert "nfev=12, njev=3, nlu=4" in message
+
+
+@pytest.mark.parametrize("storage, window", [(1e-300, 1.0), (1.0, 1e-200), (1.0, 1e-16)])
+def test_phases_too_short_to_step(storage, window):
+    # a storage below the resolution of its start time, a transfer near the
+    # underflow range, a reverse transfer that rounds away: none is stepped
+    g = sd.RadialGrid(R, 16)
+    sched = sd.ProtocolSchedule(dark_interval=storage, exchange_window=window)
+    res = sd.simulate_protocol(lossless(j=1.0), sched, g, time_samples=5)
+    assert abs(res.eta_mem - math.cos(2.0 * window) ** 2) < 1e-9
+    assert np.all(np.diff(res.times) > 0)
+
+
+def test_phase_below_the_time_resolution_is_rejected():
+    # 1e-14 s is lost in t0 ~ 1e3 s, yet the 1e10 s^-1 drive would act on it
+    g = sd.RadialGrid(R, 16)
+    sched = sd.ProtocolSchedule(dark_interval=1e3, read_time=1e-14, rabi_frequency=1e10,
+                                exchange_window=1.0)
+    with pytest.raises(ValueError, match="time resolution"):
+        sd.integrate(sd.initial_state(g), sched, lossless(j=1.0), g)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +477,26 @@ def test_three_field_stiff_optical_decay():
     res = sd.simulate_protocol(ens, sched, g, time_samples=41)
     assert 0.0 <= res.eta_mem <= 1.0
     traj = res.trajectory
+    # the retrieval instant is the reverse transfer's phase boundary, bit for bit
+    assert res.retrieval_time in traj.times.tolist()
     norms = np.array([traj.state_at(i).total_norm_sq(g) for i in range(len(traj.times))])
     assert np.all(np.diff(norms) < 1e-9)
     assert norms[-1] < norms[0]
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    n=st.integers(16, 48),
+    j=st.floats(0.0, 2.0),
+    window=st.floats(0.0, 2.0),
+    storage=st.floats(0.0, 5.0),
+)
+def test_lossless_protocol_is_an_exact_exchange_rotation(n, j, window, storage):
+    # two transfers of angle J T' around a lossless storage interval
+    g = sd.RadialGrid(R, n)
+    sched = sd.ProtocolSchedule(dark_interval=storage, exchange_window=window)
+    res = sd.simulate_protocol(lossless(j=j), sched, g, time_samples=5)
+    assert abs(res.eta_mem - math.cos(2.0 * j * window) ** 2) < 1e-6
+    traj = res.trajectory
+    norms = np.array([traj.state_at(i).total_norm_sq(g) for i in range(len(traj.times))])
+    assert np.max(np.abs(norms - 1.0)) < 1e-6
