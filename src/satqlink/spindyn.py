@@ -6,13 +6,21 @@ diffusion conserves the linear volume moment under a reflective wall and
 the operator is second-order accurate.
 
 Every schedule phase has constant controls, so within a phase the fields
-obey a linear system y' = A y with a constant sparse A. The state is stored
-node by node, (P_0, S_0, K_0, P_1, ...), which makes the real form of A
-banded with seven sub- and super-diagonals. A is assembled once per phase
-and integrated by LSODA with that band as its exact Jacobian: LSODA switches
-between non-stiff Adams and stiff BDF steps by itself, so the stiff
-diffusive storage and the lossless exchange oscillation both run with the
-same solver. Integration restarts at every control discontinuity.
+obey a linear system y' = A y with a constant A, and the state at any time
+of the phase is exp(tau A) y0. A is assembled once per phase from a 3x3
+block that acts at every node (decay, detuning, control and exchange
+couplings) and the tridiagonal diffusion stencils of S and K. Fields that
+no coupling of the phase links are propagated one by one and exactly: the
+flux-form Laplacian is symmetric once scaled by the square root of the
+shell volumes, so ``numpy.linalg.eigh`` diagonalises it and every sample
+of the phase is one matrix product. Coupled fields ({S, K} in a transfer,
+{P, S} in an optical window) take a scaled, truncated Taylor series of the
+exponential applied to the state (Al-Mohy & Higham, SIAM J. Sci. Comput.
+33, 488 (2011)) on the stencils, as long as its cost, ||A - mu I||_1 times
+the phase duration, stays below ``_TAYLOR_LIMIT``. A costlier group, such
+as a transfer of the ``paper-literal`` preset, is integrated by LSODA with
+its real band as the exact Jacobian. Integration restarts at every control
+discontinuity.
 
 Boundary conditions follow the wall physics: the alkali spin wave is
 destroyed at the glass wall (value pinned to zero at the wall face), the
@@ -23,10 +31,11 @@ The optical stage is collapsed into the initial alkali load by default:
 the optical polarization decays orders of magnitude faster than anything
 else. A full three-field mode is available by giving ``integrate`` an
 initial state with optical amplitude and a schedule with non-zero control
-windows; the stiff solver carries the fast optical decay at protocol length.
+windows.
 
-scipy (``sparse`` for the operators, ``integrate`` for LSODA) is imported on
-first use: importing this module loads no scipy, only a protocol solve does.
+Only the LSODA fallback needs scipy (``scipy.integrate``), and it imports
+it on its first call: a protocol that never reaches the fallback loads no
+scipy.
 """
 
 from __future__ import annotations
@@ -56,28 +65,37 @@ __all__ = [
 
 INITIAL_PROFILES = ("uniform", "fundamental-mode")
 
-# Real-form half bandwidth of a phase operator: with three complex fields per
-# node the Laplacian couples indices three apart, i.e. six reals, plus one for
-# the real/imaginary pair.
-_BAND = 7
+# Largest ||A - mu I||_1 * duration of a coupled group that the Taylor
+# propagator takes on; a costlier group goes to LSODA. Taylor takes about
+# three stencil products per unit of it, LSODA a step count that grows far
+# more slowly. At n = 256 on 2 vCPUs a group of this cost takes Taylor
+# 0.25 s, LSODA 0.10-0.18 s plus 0.57 s to import scipy.integrate once.
+_TAYLOR_LIMIT = 2e3
 
-# Right-hand-side evaluations one phase may take: about 20x the largest phase of
-# a legitimate run, so that e.g. --storage 1e300 fails instead of never ending.
+# Taylor degree m -> theta_m, the largest ||h (A - mu I)||_1 at which the
+# degree-m truncation of exp has backward error below 2^-53 (Al-Mohy &
+# Higham 2011, Table 3.1).
+_THETA = {
+    5: 2.40e-3, 10: 1.44e-1, 15: 6.41e-1, 20: 1.44, 25: 2.43, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+
+# Right-hand-side evaluations one LSODA phase may take: about 20x the largest
+# phase of a legitimate run, so that a runaway phase fails instead of never
+# ending.
 _MAX_RHS_PER_PHASE = 200_000
 
-# LSODA tolerances of every phase. At these values the default protocol's eta
-# agrees with a tight explicit Runge-Kutta reference (rtol 1e-12) to 1e-9.
+# LSODA tolerances of every phase it steps. At these values the default
+# protocol, stepped by LSODA alone, gave an eta within 2.1e-10 of a tight
+# explicit Runge-Kutta reference (rtol 1e-12).
 _RTOL = 1e-10
 _ATOL = 1e-12
 
-# A phase with ||A||_1 * duration at most this is advanced as y + tau A y; the
-# dropped terms, at most about 5e-11 relative, are under _RTOL. LSODA cannot
-# step spans near the underflow range or below the resolution of the start time.
-_FIRST_ORDER_LIMIT = 1e-5
-
 
 class SolverFailure(RuntimeError):
-    """Time stepping missed its tolerances or spent a phase's evaluation budget."""
+    """A phase propagator failed: a linear-algebra routine did not converge, a
+    phase ended in a non-finite state, or LSODA missed its tolerances or spent
+    its evaluation budget."""
 
 
 class RadialGrid:
@@ -273,10 +291,8 @@ def initial_state(grid: RadialGrid, profile: str = "uniform") -> SpinFieldState:
     return SpinFieldState(optical=zeros, alkali=s, noble=zeros.copy())
 
 
-def _laplacian_matrix(grid: RadialGrid, bc: str):
-    """Tridiagonal matrix form of ``radial_laplacian`` (a scipy.sparse array)."""
-    from scipy import sparse
-
+def _laplacian_diagonals(grid: RadialGrid, bc: str):
+    """(lower, diagonal, upper) of ``radial_laplacian`` as a tridiagonal matrix."""
     a = grid.faces ** 2 / grid.spacing  # face conductances; zero at the origin
     if bc == "dirichlet":
         a[-1] *= 2.0  # mirror ghost -f: the wall face sees twice the jump
@@ -285,57 +301,209 @@ def _laplacian_matrix(grid: RadialGrid, bc: str):
     else:
         raise ValueError(f"unknown boundary condition {bc!r}")
     v = grid.shell_volumes
-    return sparse.diags_array(
-        [a[1:-1] / v[1:], -(a[:-1] + a[1:]) / v, a[1:-1] / v[:-1]], offsets=[-1, 0, 1]
-    )
+    return a[1:-1] / v[1:], -(a[:-1] + a[1:]) / v, a[1:-1] / v[:-1]
 
 
-def _phase_operator(ens, grid, control_rabi, exchange_coupling):
-    """The constant matrix A of y' = A y in one phase, nodes interleaved.
+@dataclass(frozen=True)
+class _Operator:
+    """The constant A of y' = A y for an (n, g) state of g fields, node by node.
 
-    Row/column 3 i + f holds field f (0 = P, 1 = S, 2 = K) at node i: a
-    local 3x3 block of decay, detuning and coupling terms on every node,
-    plus the diffusion stencils of S and K. Implements the equations of
-    ``rhs``.
+    ``local`` (g x g) acts at every node: decay and detuning on its diagonal,
+    the control and exchange couplings off it. Column f of ``lower`` (n-1),
+    ``diag`` (n) and ``upper`` (n-1) holds the diagonals of field f's
+    diffusion stencil, D times the flux-form Laplacian.
     """
-    from scipy import sparse
 
+    local: np.ndarray
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        out = y @ self.local.T
+        out += self.diag * y
+        out[1:] += self.lower * y[:-1]
+        out[:-1] += self.upper * y[1:]
+        return out
+
+    def fields(self, picked: list) -> _Operator:
+        """The block of A that acts on the fields ``picked`` (column indices)."""
+        return _Operator(self.local[np.ix_(picked, picked)], self.lower[:, picked],
+                         self.diag[:, picked], self.upper[:, picked])
+
+    def centred(self) -> tuple[complex, _Operator]:
+        """mu = trace(A) / size, and A - mu I."""
+        mu = self.diag.mean() + np.diag(self.local).mean()
+        return mu, replace(self, diag=self.diag - mu)
+
+    def norm1(self) -> float:
+        """Largest column sum of |A|."""
+        local = np.abs(self.local)
+        col = np.abs(self.diag + np.diag(self.local)) + local.sum(axis=0) - np.diag(local)
+        col[:-1] += np.abs(self.lower)  # column i holds lower[i] in row i + 1
+        col[1:] += np.abs(self.upper)   # and upper[i - 1] in row i - 1
+        return float(col.max())
+
+
+def _phase_operator(ens, grid, control_rabi, exchange_coupling) -> _Operator:
+    """The operator of one phase on the state (P, S, K) node by node.
+
+    Implements the equations of ``rhs``: field 0 is P, 1 is S and 2 is K.
+    """
     i_omega, i_j = 1j * control_rabi, 1j * exchange_coupling
     local = np.array([
         [-ens.optical_decay, i_omega, 0.0],
         [i_omega, -(ens.alkali_decay + 1j * ens.alkali_detuning), -i_j],
         [0.0, -i_j, -(ens.noble_decay + 1j * ens.noble_detuning)],
     ])
-    # format="csr" keeps kron off its dense-block (BSR) path, whose stored
-    # zeros would widen the band.
-    a = sparse.kron(sparse.eye_array(grid.point_count), local, format="csr")
+    n = grid.point_count
+    lower, diag, upper = np.zeros((n - 1, 3)), np.zeros((n, 3)), np.zeros((n - 1, 3))
     for field, d, bc in ((1, ens.alkali_diffusion, "dirichlet"), (2, ens.noble_diffusion, "neumann")):
-        pick = np.zeros((3, 3))
-        pick[field, field] = d
-        a = a + sparse.kron(_laplacian_matrix(grid, bc), pick, format="csr")
-    return a
+        lo, di, up = _laplacian_diagonals(grid, bc)
+        lower[:, field], diag[:, field], upper[:, field] = d * lo, d * di, d * up
+    return _Operator(local, lower, diag, upper)
 
 
-def _real_band(a) -> np.ndarray:
-    """Real form of a complex operator in the packed banded layout of LSODA."""
-    coo = a.tocoo()
-    rows, cols = 2 * coo.row, 2 * coo.col
-    band = np.zeros((2 * _BAND + 1, 2 * a.shape[1]))
-    for dr, dc, part in ((0, 0, coo.data.real), (0, 1, -coo.data.imag),
-                         (1, 0, coo.data.imag), (1, 1, coo.data.real)):
-        band[_BAND + (rows + dr) - (cols + dc), cols + dc] = part
-    return band
+def _coupled_groups(local: np.ndarray) -> list:
+    """The fields that the off-diagonal entries of ``local`` connect, as sorted lists."""
+    linked = (local != 0.0) | (local.T != 0.0)
+    groups = []
+    for f in range(len(local)):
+        joined = [g for g in groups if linked[f, g].any()]
+        groups = [g for g in groups if g not in joined]
+        groups.append(sorted([f] + [h for g in joined for h in g]))
+    return groups
+
+
+def _eigen_propagate(op: _Operator, grid: RadialGrid, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """exp(tau A) y at every tau of ``taus`` for one field y (n,), exactly.
+
+    D L is similar to the symmetric matrix V^(1/2) D L V^(-1/2) (V the shell
+    volumes), whose off-diagonal is the geometric mean of L's two. One
+    ``eigh`` of it gives the modes; each sample is then a product of mode
+    amplitudes and exponentials.
+    """
+    c = op.local[0, 0]
+    if not y.any():
+        return np.zeros((len(taus), len(y)), dtype=np.complex128)
+    if not op.diag.any():
+        return np.exp(c * taus)[:, None] * y
+    off = np.sqrt(op.lower[:, 0] * op.upper[:, 0])
+    lam, q = np.linalg.eigh(np.diag(op.diag[:, 0]) + np.diag(off, 1) + np.diag(off, -1))
+    # The flux-form Laplacian is negative semi-definite; clipping the rounding
+    # of the Neumann zero mode keeps exp from growing over very long phases.
+    lam = np.minimum(lam, 0.0)
+    root = np.sqrt(grid.shell_volumes)
+    modes = q.T @ (root * y)
+    return (np.exp(np.outer(taus, c + lam)) * modes) @ q.T / root
+
+
+def _taylor_steps(x: float) -> tuple[int, int]:
+    """(substeps s, degree m) with the fewest products s m such that x / s <= theta_m."""
+    return min(((max(1, math.ceil(x / theta)), m) for m, theta in _THETA.items()),
+               key=lambda sm: sm[0] * sm[1])
+
+
+def _taylor_propagate(mu: complex, shifted: _Operator, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """exp(tau A) y at every increasing tau of ``taus``, for A = ``shifted`` +
+    ``mu`` I, by a scaled, truncated Taylor series from one sample to the
+    next (Al-Mohy & Higham 2011, Algorithm 3.2)."""
+    norm = shifted.norm1()
+    frames = np.empty((len(taus),) + y.shape, dtype=np.complex128)
+    previous = 0.0
+    for i, tau in enumerate(taus):
+        h, previous = tau - previous, tau
+        s, m = _taylor_steps(norm * h)
+        for _ in range(s):
+            term, total = y, y
+            last = np.abs(term).max()
+            for k in range(1, m + 1):
+                term = (h / (s * k)) * (shifted @ term)
+                size = np.abs(term).max()
+                total = total + term
+                if last + size <= 2.0 ** -53 * np.abs(total).max():
+                    break
+                last = size
+            y = np.exp(mu * h / s) * total
+        frames[i] = y
+    return frames
+
+
+def _real_band(op: _Operator) -> tuple[np.ndarray, int]:
+    """Real form of A on the interleaved state, in the packed banded layout of
+    LSODA, and its half bandwidth: the stencils couple complex indices g
+    apart, that is 2 g reals, plus one for the real/imaginary pair."""
+    n, g = op.diag.shape
+    half = 2 * g + 1
+    index = np.arange(n * g).reshape(n, g)
+    blocks = op.local + op.diag[:, :, None] * np.eye(g)  # (n, g, g) per-node blocks
+    rows = 2 * np.concatenate((np.repeat(index, g, axis=1).ravel(), index[1:].ravel(), index[:-1].ravel()))
+    cols = 2 * np.concatenate((np.tile(index, g).ravel(), index[:-1].ravel(), index[1:].ravel()))
+    values = np.concatenate((blocks.ravel(), op.lower.ravel(), op.upper.ravel()))
+    band = np.zeros((2 * half + 1, 2 * n * g))
+    for dr, dc, part in ((0, 0, values.real), (0, 1, -values.imag),
+                         (1, 0, values.imag), (1, 1, values.real)):
+        band[half + (rows + dr) - (cols + dc), cols + dc] = part
+    return band, half
 
 
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on the first call.
 
-    ``integrate`` calls the solver through this module attribute, so that it
-    can be replaced from outside (the tests force solver failures this way).
+    The LSODA fallback calls the solver through this module attribute, so
+    that it can be replaced from outside (the tests force solver failures
+    this way).
     """
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(*args, **kwargs)
+
+
+def _lsoda_propagate(op: _Operator, y: np.ndarray, t0: float, t_eval: np.ndarray, where: str) -> np.ndarray:
+    """The state at every time of ``t_eval`` (the last one ends the phase that
+    starts at ``t0``), stepped by LSODA at ``_RTOL``/``_ATOL``."""
+    n, g = y.shape
+    band, half = _real_band(op)
+    evals = 0
+
+    def fun(t, v):
+        nonlocal evals
+        evals += 1
+        if evals > _MAX_RHS_PER_PHASE:
+            raise SolverFailure(
+                f"{where} exceeded {_MAX_RHS_PER_PHASE} right-hand-side evaluations; "
+                f"stopped at t = {t:g} s"
+            )
+        return (op @ v.view(np.complex128).reshape(n, g)).ravel().view(np.float64)
+
+    sol = solve_ivp(fun, (t0, t_eval[-1]), y.ravel().view(np.float64), method="LSODA",
+                    t_eval=t_eval, rtol=_RTOL, atol=_ATOL, jac=lambda t, v: band,
+                    lband=half, uband=half)
+    if not sol.success:
+        raise SolverFailure(
+            f"time integration failed in {where}; nfev={sol.nfev}, njev={sol.njev}, "
+            f"nlu={sol.nlu}: {sol.message}"
+        )
+    return sol.y.T.copy().view(np.complex128).reshape(len(t_eval), n, g)
+
+
+def _propagate(op: _Operator, grid: RadialGrid, y: np.ndarray, t0: float,
+               t_eval: np.ndarray, where: str) -> np.ndarray:
+    """The (n, 3) state at every time of ``t_eval`` in the phase that starts
+    at ``t0`` from state ``y``: each single field exactly, each coupled group
+    by Taylor or, above ``_TAYLOR_LIMIT``, by LSODA."""
+    taus = t_eval - t0
+    frames = np.empty((len(t_eval),) + y.shape, dtype=np.complex128)
+    for group in _coupled_groups(op.local):
+        block = op.fields(group)
+        mu, centred = block.centred()
+        if len(group) == 1:
+            frames[:, :, group[0]] = _eigen_propagate(block, grid, y[:, group[0]], taus)
+        elif centred.norm1() * taus[-1] <= _TAYLOR_LIMIT:
+            frames[:, :, group] = _taylor_propagate(mu, centred, y[:, group], taus)
+        else:
+            frames[:, :, group] = _lsoda_propagate(block, y[:, group], t0, t_eval, where)
+    return frames
 
 
 def _schedule_phases(schedule: ProtocolSchedule, ens: EnsembleParams):
@@ -377,18 +545,18 @@ def integrate(
 ) -> Trajectory:
     """Integrate one protocol schedule from an initial state.
 
-    Each schedule phase has constant control values, so the integration is
+    Each schedule phase has constant control values, so the propagation is
     restarted at every phase boundary (exact event handling at the control
-    discontinuities). Within a phase the assembled operator A is integrated
-    by LSODA with its real band as the constant Jacobian; the solver picks
-    Adams or BDF steps from the stiffness it observes, at the fixed
-    tolerances ``_RTOL`` and ``_ATOL``; a phase too short to step is
-    advanced by its first-order term (see ``_FIRST_ORDER_LIMIT``). Dense
-    output is evaluated at ``sample_times``; phase boundaries are always
-    included. Raises :class:`SolverFailure`, naming the phase, when the
-    stepper cannot reach the tolerances or exceeds ``_MAX_RHS_PER_PHASE``,
-    and ValueError for a phase that still matters but is shorter than the
-    float resolution of its start time.
+    discontinuities). Within a phase, fields that no coupling links are
+    propagated exactly through the eigenmodes of their diffusion operator,
+    and each coupled group by a truncated Taylor series of the exponential,
+    or by LSODA at ``_RTOL``/``_ATOL`` when the Taylor cost would exceed
+    ``_TAYLOR_LIMIT``. States are evaluated at ``sample_times``; phase
+    boundaries are always included. Raises :class:`SolverFailure`, naming
+    the phase, when a linear-algebra routine fails, a phase ends in a
+    non-finite state, or LSODA cannot reach its tolerances or exceeds
+    ``_MAX_RHS_PER_PHASE``; and ValueError for a phase that still matters
+    but is shorter than the float resolution of its start time.
     """
     phases = _schedule_phases(schedule, ens)
     total = sum(d for d, _, _ in phases)
@@ -397,79 +565,44 @@ def integrate(
     if requested.size and (requested.min() < 0.0 or requested.max() > total * (1.0 + 1e-12)):
         raise ValueError("sample_times must lie within the schedule duration")
 
-    n = grid.point_count
-    # Real state; its complex view is (P, S, K) node by node.
-    y = np.stack((initial.optical, initial.alkali, initial.noble), axis=1)
-    y = y.astype(np.complex128).ravel().view(np.float64)
-
+    y = np.stack((initial.optical, initial.alkali, initial.noble), axis=1).astype(np.complex128)
     times = [0.0]
-    frames = [y]
+    frames = [y[None]]
 
     t0 = 0.0
     for index, (duration, omega, j_value) in enumerate(phases):
         t1 = t0 + duration
+        a = _phase_operator(ens, grid, omega, j_value)
+        if t1 == t0:
+            # exp(duration A) moves the state by at most about ||A||_1 duration.
+            if duration * a.norm1() > _RTOL:
+                raise ValueError(
+                    f"phase {index + 1} of {len(phases)} ({duration:g} s) is shorter than "
+                    f"the time resolution at t = {t0:g} s"
+                )
+            continue
         inside = requested[(requested > t0 + 1e-15 * max(t1, 1.0)) & (requested < t1 - 1e-15 * max(t1, 1.0))]
         t_eval = np.unique(np.concatenate((inside, [t1])))
-        a = _phase_operator(ens, grid, omega, j_value)
-        if duration * abs(a).sum(axis=0).max() <= _FIRST_ORDER_LIMIT:
-            slope = (a @ y.view(np.complex128)).view(np.float64)
-            t_eval = t_eval[t_eval > t0]  # empty when t0 + duration rounds to t0
-            times.extend(t_eval)
-            frames.extend(y + (t - t0) * slope for t in t_eval)
-            y = frames[-1]
-            t0 = t1
-            continue
-        if t1 == t0:
-            raise ValueError(
-                f"phase {index + 1} of {len(phases)} ({duration:g} s) is shorter than "
-                f"the time resolution at t = {t0:g} s"
-            )
-        band = _real_band(a)
-        evals = 0
-
-        def fun(t, y):
-            nonlocal evals
-            evals += 1
-            if evals > _MAX_RHS_PER_PHASE:
-                raise SolverFailure(
-                    f"phase {index + 1} of {len(phases)} (t = {t0:g} to {t1:g} s) exceeded "
-                    f"{_MAX_RHS_PER_PHASE} right-hand-side evaluations; stopped at t = {t:g} s"
-                )
-            return (a @ y.view(np.complex128)).view(np.float64)
-
-        sol = solve_ivp(
-            fun,
-            (t0, t1),
-            y,
-            method="LSODA",
-            t_eval=t_eval,
-            rtol=_RTOL,
-            atol=_ATOL,
-            jac=lambda t, y: band,
-            lband=_BAND,
-            uband=_BAND,
-        )
-        if not sol.success:
-            raise SolverFailure(
-                f"time integration failed in phase {index + 1} of {len(phases)} "
-                f"(t = {t0:g} to {t1:g} s; nfev={sol.nfev}, njev={sol.njev}, "
-                f"nlu={sol.nlu}): {sol.message}"
-            )
-        times.extend(sol.t)
-        # Per-sample copies fit the memory that solve_ivp freed after sampling,
-        # so sol.y is released before the one final stack below (lower peak RSS
-        # than keeping sol.y and concatenating).
-        frames.extend(np.array(row) for row in sol.y.T)
-        y = frames[-1]
+        where = f"phase {index + 1} of {len(phases)} (t = {t0:g} to {t1:g} s)"
+        try:
+            block = _propagate(a, grid, y, t0, t_eval, where)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure(f"{where}: {exc}") from exc
+        if not np.isfinite(block[-1]).all():
+            raise SolverFailure(f"{where} ended in a non-finite state")
+        times.extend(t_eval)
+        frames.append(block)
+        y = block[-1]
         t0 = t1
 
-    stacked = np.array(frames).view(np.complex128).reshape(len(times), n, 3)
+    stacked = np.concatenate(frames)
     return Trajectory(
         times=np.array(times),
         optical=stacked[:, :, 0],
         alkali=stacked[:, :, 1],
         noble=stacked[:, :, 2],
     )
+
 
 
 def simulate_protocol(

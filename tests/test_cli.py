@@ -287,14 +287,53 @@ def test_scenario_only_flags_are_usage_errors_elsewhere(tmp_path, capsys, argv):
 
 
 def test_memory_rhs_budget_is_a_solver_failure(monkeypatch, tmp_path, capsys):
+    # the literal coupling's transfer is above the Taylor limit: LSODA steps it
     monkeypatch.setattr(spindyn, "_MAX_RHS_PER_PHASE", 1_000)
     code = cli.main([
-        "memory", "--out", str(tmp_path / "o"), "--grid", "16", "--samples", "3",
-        "--storage", "1e7",
+        "memory", "--out", str(tmp_path / "o"), "--preset", "paper-literal",
+        "--grid", "16", "--samples", "3",
     ])
     assert code == 2
     err = capsys.readouterr().err
     assert "solver failure" in err and "1000 right-hand-side evaluations" in err
+
+
+@pytest.mark.parametrize("broken", ["raises", "nan"])
+def test_memory_eigen_failure_is_a_solver_failure(monkeypatch, tmp_path, capsys, broken):
+    # storage propagates S and K through eigh: a LinAlgError (a ValueError)
+    # or a non-finite state is a solver failure, not a configuration error
+    real_eigh = np.linalg.eigh
+
+    def eigh(matrix):
+        if broken == "raises":
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        values, vectors = real_eigh(matrix)
+        return np.full_like(values, np.nan), vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    code = cli.main([
+        "memory", "--out", str(tmp_path / "o"), "--grid", "16", "--samples", "3",
+        "--storage", "1",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "solver failure" in captured.err and "phase 2 of 3" in captured.err
+    assert "configuration error" not in captured.err
+    assert "eta_mem" not in captured.out
+
+
+def test_memory_storage_beyond_the_time_resolution(tmp_path, capsys):
+    # storage is exact, so 1e300 s costs one eigenbasis; the 7.9 s reverse
+    # transfer after it is lost in the float resolution of t = 1e300 s
+    code = cli.main([
+        "memory", "--out", str(tmp_path / "o"), "--grid", "16", "--samples", "3",
+        "--storage", "1e300",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "configuration error: phase 3 of 3" in captured.err
+    assert "shorter than the time resolution at t = 1e+300 s" in captured.err
+    assert "eta_mem" not in captured.out
 
 
 def test_zero_dual_probability_exits_without_a_gain(tmp_path, capsys):
@@ -357,27 +396,49 @@ def test_public_names_resolve():
             assert name in exported, f"satqlink.{name}"
 
 
+def _run_script(script: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    src_dir = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = str(src_dir) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+
+
 def test_link_commands_load_no_scipy(tmp_path):
-    """scenario, linkmap and gainmap run without importing scipy; the two
-    callers that need it (quadrature reference, memory) still work after."""
+    """scenario, linkmap, gainmap and a short memory run go without importing
+    scipy; the quadrature reference, which needs it, still works after."""
     script = f"""
 import sys
 import satqlink
 assert "numpy" not in sys.modules
 from satqlink import cli, linkbudget
 out = {str(tmp_path)!r}
-for argv in (["scenario"], ["linkmap"], ["gainmap"]):
+for argv in (["scenario"], ["linkmap"], ["gainmap"],
+             ["memory", "--grid", "32", "--storage", "1", "--samples", "5"]):
     assert cli.main([*argv, "--out", out]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 link = linkbudget.OpticalLinkParams()
 assert abs(linkbudget.collected_fraction_quadrature(5e5, link)
            - linkbudget.collected_fraction(5e5, link)) < 1e-6
-assert cli.main(["memory", "--out", out, "--grid", "32", "--storage", "1", "--samples", "5"]) == 0
+"""
+    cp = _run_script(script)
+    assert cp.returncode == 0, cp.stderr
+
+
+def test_memory_loads_scipy_only_for_the_lsoda_fallback(tmp_path):
+    """memory at its defaults under rescaled and lossless loads no scipy; the
+    paper-literal transfers, above the Taylor limit, still run on LSODA."""
+    script = f"""
+import sys
+from satqlink import cli
+out = {str(tmp_path)!r}
+for preset in ("rescaled", "lossless"):
+    assert cli.main(["memory", "--out", out, "--preset", preset]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+assert cli.main(["memory", "--out", out, "--preset", "paper-literal",
+                 "--grid", "16", "--samples", "3"]) == 0
 assert "scipy.integrate" in sys.modules
 """
-    env = dict(os.environ)
-    src_dir = Path(__file__).resolve().parents[1] / "src"
-    env["PYTHONPATH"] = str(src_dir) + os.pathsep + env.get("PYTHONPATH", "")
-    cp = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    cp = _run_script(script)
     assert cp.returncode == 0, cp.stderr

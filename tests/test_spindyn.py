@@ -125,7 +125,7 @@ def test_phase_operator_matches_public_rhs():
     state = sd.SpinFieldState(optical=p, alkali=s, noble=k)
     dp, ds, dk = sd.rhs(state, ens, g, control_rabi=1.1, exchange_coupling=0.7)
     a = sd._phase_operator(ens, g, 1.1, 0.7)
-    applied = (a @ np.stack((p, s, k), axis=1).ravel()).reshape(32, 3)
+    applied = a @ np.stack((p, s, k), axis=1)
     assert np.allclose(applied[:, 0], dp, rtol=1e-14, atol=0)
     assert np.allclose(applied[:, 1], ds, rtol=1e-14, atol=0)
     assert np.allclose(applied[:, 2], dk, rtol=1e-14, atol=0)
@@ -136,8 +136,34 @@ def test_phase_operator_diffusion_blocks_match_laplacian():
     f = np.random.default_rng(5).normal(size=32)
     a = sd._phase_operator(diffusion_only(d_a=1.0, d_b=1.0), g, 0.0, 0.0)
     for field, bc in ((1, "dirichlet"), (2, "neumann")):
-        block = a[field::3, field::3]
-        assert np.allclose(block @ f, sd.radial_laplacian(f, g, bc), rtol=1e-14, atol=0)
+        y = np.zeros((32, 3))
+        y[:, field] = f
+        applied = a @ y
+        assert np.allclose(applied[:, field], sd.radial_laplacian(f, g, bc), rtol=1e-14, atol=0)
+        assert not np.delete(applied, field, axis=1).any()
+
+
+def test_real_band_is_the_phase_operator():
+    # the LSODA Jacobian, unpacked, equals the real form of A column by column
+    n = 16
+    g = sd.RadialGrid(R, n)
+    ens = EnsembleParams(
+        exchange_coupling=0.7, alkali_decay=1e-3, noble_decay=2e-4,
+        alkali_detuning=0.3, noble_detuning=0.1,
+        alkali_diffusion=1e-8, noble_diffusion=2e-8, optical_decay=0.5,
+    )
+    a = sd._phase_operator(ens, g, 1.1, 0.7)
+    band, half = sd._real_band(a)
+    size = 6 * n
+    dense = np.zeros((size, size))
+    for col in range(size):
+        unit = np.zeros(size)
+        unit[col] = 1.0
+        dense[:, col] = (a @ unit.view(np.complex128).reshape(n, 3)).ravel().view(np.float64)
+    rows, cols = np.indices((size, size))
+    inside = np.abs(rows - cols) <= half
+    assert np.all(dense[~inside] == 0.0)
+    assert np.array_equal(band[half + rows[inside] - cols[inside], cols[inside]], dense[inside])
 
 
 def test_rhs_pure_decay():
@@ -275,6 +301,8 @@ def test_spatial_convergence_against_fine_reference():
 
 
 def test_tolerance_refinement_consistency(monkeypatch):
+    # a zero Taylor limit sends both transfers to the LSODA fallback
+    monkeypatch.setattr(sd, "_TAYLOR_LIMIT", 0.0)
     g = sd.RadialGrid(R, 32)
     ens = lossless(j=1.0)
     sched = sd.ProtocolSchedule(dark_interval=0.3)
@@ -289,6 +317,42 @@ def test_tolerance_refinement_consistency(monkeypatch):
     b = run(1e-9, 1e-11)
     scale = np.max(np.abs(b.alkali[-1]))
     assert np.max(np.abs(a.alkali[-1] - b.alkali[-1])) / scale < 1e-6
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    n=st.integers(16, 40),
+    decays=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    detunings=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    diffusions=st.tuples(st.floats(0.0, 1e-6), st.floats(0.0, 1e-6)),
+    omega=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+    j=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+    duration=st.floats(1e-3, 2.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_propagators_agree_with_lsoda(n, decays, detunings, diffusions, omega, j, duration, seed):
+    # storage (exact eigenmodes), transfers and optical windows (Taylor) and
+    # a phase with both couplings, against LSODA on all three fields at once:
+    # the volume norm of the difference stays below 1e-8 of the initial one
+    g = sd.RadialGrid(R, n)
+    ens = EnsembleParams(
+        exchange_coupling=j, optical_decay=decays[0], alkali_decay=decays[1],
+        noble_decay=decays[2], alkali_detuning=detunings[0], noble_detuning=detunings[1],
+        alkali_diffusion=diffusions[0], noble_diffusion=diffusions[1],
+    )
+    a = sd._phase_operator(ens, g, omega, j)
+    rng = np.random.default_rng(seed)
+    y0 = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    t0 = 1.0
+    t_eval = t0 + duration * np.array([0.3, 0.7, 1.0])
+    exact = sd._propagate(a, g, y0, t0, t_eval, "phase")
+    stepped = sd._lsoda_propagate(a, y0, t0, t_eval, "phase")
+
+    def volume_norm(y):
+        return math.sqrt(np.sum(g.shell_volumes[:, None] * np.abs(y) ** 2))
+
+    for got, want in zip(exact, stepped):
+        assert volume_norm(got - want) <= 1e-8 * volume_norm(y0)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +479,10 @@ def test_solver_failure_is_reported(monkeypatch):
         return real_solve_ivp(*args, **kwargs) if len(calls) == 1 else _Failed()
 
     monkeypatch.setattr(sd, "solve_ivp", fail_second_phase)
+    monkeypatch.setattr(sd, "_TAYLOR_LIMIT", 0.0)
     g = sd.RadialGrid(R, 32)
-    # write, transfer and reverse transfer: three phases that LSODA steps
+    # write, transfer and reverse transfer: three coupled phases, all sent
+    # to the LSODA fallback by the zero Taylor limit
     sched = sd.ProtocolSchedule(write_time=0.5, rabi_frequency=1.0)
     with pytest.raises(sd.SolverFailure) as info:
         sd.integrate(sd.initial_state(g), sched, lossless(j=1.0), g)
