@@ -11,17 +11,36 @@ byte-deterministic for a given configuration. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfgmod
 from . import scenario as scn
-from . import spindyn
-from .config import ConfigError, ENSEMBLE_PRESETS
-from .spindyn import SolverFailure
+from .config import ConfigError, ENSEMBLE_PRESETS, INITIAL_PROFILES
+
+
+def _lazy_submodule(name: str):
+    """The package's submodule ``name``, executed on first attribute access.
+
+    The module is registered in ``sys.modules`` and on the package at once,
+    so ``satqlink.spindyn`` resolves as usual, but its code (and numpy) runs
+    only when a command first uses it.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+spindyn = _lazy_submodule("spindyn")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -121,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_memory.add_argument("--samples", type=int, default=121, help="kymograph time samples")
     p_memory.add_argument(
         "--profile",
-        choices=spindyn.INITIAL_PROFILES,
+        choices=INITIAL_PROFILES,
         default="uniform",
         help="initial alkali profile",
     )
@@ -139,12 +158,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _axis(name: str, lo: float, hi: float, steps: int) -> np.ndarray:
+def _axis(name: str, lo: float, hi: float, steps: int) -> list[float]:
+    """``steps`` evenly spaced points from lo to hi, as ``numpy.linspace`` makes them."""
     if steps < 2:
         raise ConfigError(f"{name}: steps must be at least 2")
     if not lo < hi:
         raise ConfigError(f"{name}: bounds must satisfy min < max")
-    return np.linspace(lo, hi, steps)
+    step = (hi - lo) / (steps - 1)
+    return [i * step + lo for i in range(steps - 1)] + [hi]
 
 
 def _cmd_scenario(args, cfg: cfgmod.RunConfig, out: Path) -> int:
@@ -198,7 +219,7 @@ def _cmd_memory(args, cfg: cfgmod.RunConfig, out: Path) -> int:
         result = spindyn.simulate_protocol(
             ens, schedule, grid, args.profile, time_samples=args.samples
         )
-    except SolverFailure as exc:
+    except spindyn.SolverFailure as exc:
         sys.stderr.write(
             f"solver failure: {exc}\n"
             f"  ensemble: {ens}\n  schedule: {schedule}\n  grid: {grid}\n"

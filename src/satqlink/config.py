@@ -32,10 +32,12 @@ __all__ = [
     "ensemble_params",
     "scenario_config",
     "ENSEMBLE_PRESETS",
+    "INITIAL_PROFILES",
     "RESCALED_EXCHANGE_FACTOR",
 ]
 
 ENSEMBLE_PRESETS = ("paper-literal", "rescaled", "lossless")
+INITIAL_PROFILES = ("uniform", "fundamental-mode")
 
 # The literal exchange coupling implies a transfer window of ~7.9e4 s,
 # far beyond the storage interval; the rescaled preset multiplies it so

@@ -6,16 +6,16 @@ diffraction-plus-pointing loss. Pointing jitter is folded in as
 long-exposure spot broadening: the far-field Gaussian intensity is
 convolved with the Gaussian jitter kernel, which again yields a Gaussian
 whose per-axis spread obeys sigma_eff^2 = w(z)^2/4 + (sigma_p z)^2.
-All quantities are SI (metres, radians). The closed forms broadcast over
-numpy arrays of elevations and ranges, so a whole map axis is one call.
+All quantities are SI (metres, radians). The closed forms are scalar
+``math`` expressions; ``link_efficiency_row`` evaluates one arm over a row
+of pointing jitters at a fixed elevation and range, which is how the maps
+in ``scenario`` are filled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "OpticalLinkParams",
@@ -24,6 +24,7 @@ __all__ = [
     "effective_spot_sigma",
     "collected_fraction",
     "collected_fraction_quadrature",
+    "link_efficiency_row",
     "single_link_efficiency",
 ]
 
@@ -60,42 +61,55 @@ class OpticalLinkParams:
         return self.wavelength / (math.pi * self.divergence_half_angle)
 
 
-def atmospheric_transmission(theta: float | np.ndarray, zenith_transmission: float):
+def atmospheric_transmission(theta: float, zenith_transmission: float) -> float:
     """Single-pass atmospheric transmission at elevation theta (rad).
 
     Air-mass scaling: zenith transmission raised to 1/sin(theta). Diverges
-    toward the horizon, so theta must lie in (0, pi/2]. Broadcasts over theta.
+    toward the horizon, so theta must lie in (0, pi/2].
     """
-    if not np.all((theta > 0.0) & (theta <= math.pi / 2.0)):
+    if not (0.0 < theta <= math.pi / 2.0):
         raise ValueError("elevation must lie in (0, pi/2]")
-    if not 0.0 < zenith_transmission <= 1.0:
+    if not (0.0 < zenith_transmission <= 1.0):
         raise ValueError("zenith_transmission must lie in (0, 1]")
-    return zenith_transmission ** (1.0 / np.sin(theta))
+    return zenith_transmission ** (1.0 / math.sin(theta))
 
 
-def beam_radius(z: float | np.ndarray, params: OpticalLinkParams):
+def beam_radius(z: float, params: OpticalLinkParams) -> float:
     """Gaussian beam radius w(z) (m) a distance z (m) from the waist."""
-    if np.any(z < 0.0):
+    if not (z >= 0.0):
         raise ValueError("propagation distance must be non-negative")
-    return np.hypot(params.beam_waist, params.divergence_half_angle * z)
+    return math.hypot(params.beam_waist, params.divergence_half_angle * z)
 
 
-def effective_spot_sigma(z: float | np.ndarray, params: OpticalLinkParams):
+def effective_spot_sigma(z: float, params: OpticalLinkParams) -> float:
     """Per-axis spread (m) of the jitter-broadened spot at range z (m).
 
     The beam intensity has per-axis std w(z)/2; the jitter kernel adds a
     displacement std of pointing_jitter_rms * z in quadrature.
     """
-    if np.any(z <= 0.0):
+    if not (z > 0.0):
         raise ValueError("range must be positive")
-    return np.hypot(beam_radius(z, params) / 2.0, params.pointing_jitter_rms * z)
+    return math.hypot(beam_radius(z, params) / 2.0, params.pointing_jitter_rms * z)
 
 
-def collected_fraction(l: float | np.ndarray, params: OpticalLinkParams):
-    """Fraction of transmitted power collected by the receiver pupil at range l (m)."""
-    sigma = effective_spot_sigma(l, params)
+def _collected_row(scale: float, l: float, params: OpticalLinkParams, jitters) -> list[float]:
+    """scale times the collected fraction at range l (m), one value per jitter (rad).
+
+    The beam radius is computed once; only the jitter term is per value.
+    """
+    if not (l > 0.0):
+        raise ValueError("range must be positive")
+    half_w = beam_radius(l, params) / 2.0
     r = params.receiver_radius
-    return 1.0 - np.exp(-r * r / (2.0 * sigma * sigma))
+    return [
+        scale * (1.0 - math.exp(-r * r / (2.0 * sigma * sigma)))
+        for sigma in [math.hypot(half_w, jitter * l) for jitter in jitters]
+    ]
+
+
+def collected_fraction(l: float, params: OpticalLinkParams) -> float:
+    """Fraction of transmitted power collected by the receiver pupil at range l (m)."""
+    return _collected_row(1.0, l, params, (params.pointing_jitter_rms,))[0]
 
 
 def collected_fraction_quadrature(l: float, params: OpticalLinkParams) -> float:
@@ -145,16 +159,21 @@ def collected_fraction_quadrature(l: float, params: OpticalLinkParams) -> float:
     return power
 
 
-def single_link_efficiency(
-    theta: float | np.ndarray, l: float | np.ndarray, params: OpticalLinkParams
-):
+def link_efficiency_row(theta: float, l: float, params: OpticalLinkParams, jitters) -> list[float]:
+    """``single_link_efficiency`` at (theta, l) for each pointing jitter (rad).
+
+    The air mass, the detector factor and the beam radius are computed once
+    per call, so a map row costs one jitter term per cell. The jitter of
+    ``params`` is ignored.
+    """
+    loss = params.detector_efficiency * atmospheric_transmission(theta, params.zenith_transmission)
+    return _collected_row(loss, l, params, jitters)
+
+
+def single_link_efficiency(theta: float, l: float, params: OpticalLinkParams) -> float:
     """Efficiency of one space-to-ground arm: detector * atmosphere * diffraction.
 
     theta is the elevation (rad) for the air-mass factor, l the slant range
-    (m) for the diffraction/pointing factor. Broadcasts over theta and l.
+    (m) for the diffraction/pointing factor.
     """
-    return (
-        params.detector_efficiency
-        * atmospheric_transmission(theta, params.zenith_transmission)
-        * collected_fraction(l, params)
-    )
+    return link_efficiency_row(theta, l, params, (params.pointing_jitter_rms,))[0]

@@ -12,9 +12,7 @@ geometry note.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import geometry, linkbudget, skr
 from .formatting import csv_float, csv_floats, table_float
@@ -25,6 +23,7 @@ from .skr import QKDParams
 __all__ = [
     "ScenarioConfig",
     "ScenarioResult",
+    "Grid",
     "improvement_factor",
     "compare_scenarios",
     "downlink_probability_map",
@@ -124,36 +123,43 @@ def compare_scenarios(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
 
-def downlink_probability_map(
-    range_axis_km: np.ndarray,
-    jitter_axis_rad: np.ndarray,
-    cfg: ScenarioConfig,
-) -> np.ndarray:
+class Grid(list):
+    """A map as a row-major list of rows of floats.
+
+    ``size`` (the cell count) and ``tolist`` (plain nested lists) read as
+    they do on a numpy array, and ``numpy.asarray`` gives the 2-D array.
+    """
+
+    @property
+    def size(self) -> int:
+        return sum(len(row) for row in self)
+
+    def tolist(self) -> list[list[float]]:
+        return [list(row) for row in self]
+
+
+def downlink_probability_map(range_axis_km, jitter_axis_rad, cfg: ScenarioConfig) -> Grid:
     """Single-photon downlink success over (slant range, pointing jitter).
 
-    Cell value: one arm's efficiency, with the elevation recovered from the
-    slant range at the configured altitude; the memory is excluded. Axes
-    must be ascending; ranges must lie between zenith (altitude) and the
-    horizon.
+    Returns one row per range (km), one cell per pointing jitter (rad). Cell
+    value: one arm's efficiency, with the elevation recovered from the slant
+    range at the configured altitude; the memory is excluded. Axes must be
+    ascending; ranges must lie between zenith (altitude) and the horizon.
     """
     ranges = _checked_axis("range_axis_km", range_axis_km)
     jitters = _checked_axis("jitter_axis_rad", jitter_axis_rad, allow_zero=True)
-    thetas = np.array([geometry.elevation_from_slant_range(l, cfg.orbit) for l in ranges.tolist()])
-    ranges_m = ranges * KM
-    grid = np.empty((ranges.size, jitters.size))
-    for j, sigma in enumerate(jitters.tolist()):
-        link = replace(cfg.link, pointing_jitter_rms=sigma)
-        grid[:, j] = linkbudget.single_link_efficiency(thetas, ranges_m, link)
-    return grid
+    return Grid(
+        linkbudget.link_efficiency_row(
+            geometry.elevation_from_slant_range(l, cfg.orbit), l * KM, cfg.link, jitters
+        )
+        for l in ranges
+    )
 
 
-def gain_map(
-    elevation_axis_rad: np.ndarray,
-    eta_mem_axis: np.ndarray,
-    cfg: ScenarioConfig,
-) -> np.ndarray:
+def gain_map(elevation_axis_rad, eta_mem_axis, cfg: ScenarioConfig) -> Grid:
     """Rate gain of buffering over the fixed dual geometry.
 
+    Returns one row per elevation (rad), one cell per memory efficiency.
     Cell (theta, eta_mem): buffered links at elevation theta with slant
     range from the closed-form geometry, against the configured dual
     reference. Memory efficiencies must lie in [0, 1], the range
@@ -163,21 +169,28 @@ def gain_map(
     elevations = _checked_axis("elevation_axis_rad", elevation_axis_rad)
     memories = _checked_axis("eta_mem_axis", eta_mem_axis, allow_zero=True, high=1.0)
     arm_dual = _dual_arm(cfg)
-    ranges = np.array([geometry.slant_range_from_elevation(t, cfg.orbit) for t in elevations.tolist()])
-    arm = linkbudget.single_link_efficiency(elevations, ranges * KM, cfg.link)
-    return np.outer(arm * arm / (arm_dual * arm_dual), memories)
+    rows = Grid()
+    for theta in elevations:
+        l = geometry.slant_range_from_elevation(theta, cfg.orbit)
+        arm = linkbudget.single_link_efficiency(theta, l * KM, cfg.link)
+        ratio = arm * arm / (arm_dual * arm_dual)
+        rows.append([ratio * m for m in memories])
+    return rows
 
 
-def _checked_axis(name: str, axis, allow_zero: bool = False, high: float = math.inf) -> np.ndarray:
-    arr = np.asarray(axis, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
+def _checked_axis(name: str, axis, allow_zero: bool = False, high: float = math.inf) -> list[float]:
+    try:
+        values = [float(x) for x in axis]
+    except TypeError:
+        raise ValueError(f"{name} must be a non-empty 1-D axis") from None
+    if not values:
         raise ValueError(f"{name} must be a non-empty 1-D axis")
-    if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
+    if not all(a < b for a, b in zip(values, values[1:])):
         raise ValueError(f"{name} must be strictly ascending")
-    low = 0.0 if allow_zero else np.nextafter(0.0, 1.0)
-    if arr[0] < low or arr[-1] > high:
+    low = 0.0 if allow_zero else math.nextafter(0.0, 1.0)
+    if not (values[0] >= low and values[-1] <= high):
         raise ValueError(f"{name} values out of range")
-    return arr
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +235,7 @@ def csv_comparison(result: ScenarioResult) -> str:
     return "quantity,value\n" + "".join(f"{k},{v}\n" for k, v in _comparison_items(result))
 
 
-def _grid_csv(header: str, rows: list[float], columns: list[float], grid: np.ndarray) -> str:
+def _grid_csv(header: str, rows: list[float], columns: list[float], grid: Grid) -> str:
     """Long-format CSV, one line per cell in row-major order.
 
     ``rows`` and ``columns`` are the axis values as printed; each is
@@ -235,21 +248,21 @@ def _grid_csv(header: str, rows: list[float], columns: list[float], grid: np.nda
     return "\n".join(lines) + "\n"
 
 
-def linkmap_csv(range_axis_km, jitter_axis_rad, grid: np.ndarray) -> str:
+def linkmap_csv(range_axis_km, jitter_axis_rad, grid: Grid) -> str:
     """Long-format CSV of the downlink map, range-major row order."""
     return _grid_csv(
         "slant_range_km,pointing_jitter_urad,success_probability",
-        np.asarray(range_axis_km, dtype=float).tolist(),
-        (np.asarray(jitter_axis_rad, dtype=float) * 1e6).tolist(),
+        [float(l) for l in range_axis_km],
+        [float(s) * 1e6 for s in jitter_axis_rad],
         grid,
     )
 
 
-def gainmap_csv(elevation_axis_rad, eta_mem_axis, grid: np.ndarray) -> str:
+def gainmap_csv(elevation_axis_rad, eta_mem_axis, grid: Grid) -> str:
     """Long-format CSV of the gain map, elevation-major row order."""
     return _grid_csv(
         "elevation_deg,memory_efficiency,gain",
-        [math.degrees(t) for t in np.asarray(elevation_axis_rad, dtype=float).tolist()],
-        np.asarray(eta_mem_axis, dtype=float).tolist(),
+        [math.degrees(t) for t in elevation_axis_rad],
+        [float(m) for m in eta_mem_axis],
         grid,
     )

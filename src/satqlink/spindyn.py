@@ -46,6 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .afc import EnsembleParams
+from .config import INITIAL_PROFILES
 from .formatting import csv_floats
 
 __all__ = [
@@ -62,8 +63,6 @@ __all__ = [
     "simulate_protocol",
     "write_kymograph_csv",
 ]
-
-INITIAL_PROFILES = ("uniform", "fundamental-mode")
 
 # Largest ||A - mu I||_1 * duration of a coupled group that the Taylor
 # propagator takes on; a costlier group goes to LSODA. Taylor takes about

@@ -220,7 +220,7 @@ def test_criterion_09_structure_and_properties():
         gains = scn.gain_map(elevations, memories, cfg)
         assert np.all(np.diff(gains, axis=0) > 0)
         assert np.all(np.diff(gains, axis=1) > 0)
-        baseline = scn.gain_map(np.array([math.pi / 2]), np.array([0.74]), cfg)[0, 0]
+        baseline = scn.gain_map(np.array([math.pi / 2]), np.array([0.74]), cfg)[0][0]
         assert baseline >= 100.0
 
         rng = np.random.default_rng(99)

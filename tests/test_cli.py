@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import satqlink
 from satqlink import afc, cli, config, formatting, geometry, linkbudget, scenario, skr, spindyn
@@ -404,17 +406,33 @@ def _run_script(script: str) -> subprocess.CompletedProcess:
 
 
 def test_link_commands_load_no_scipy(tmp_path):
-    """scenario, linkmap, gainmap and a short memory run go without importing
-    scipy; the quadrature reference, which needs it, still works after."""
+    """scenario, linkmap and gainmap go without importing numpy or scipy;
+    satqlink.spindyn resolves on the package from the start, and numpy is
+    loaded once memory runs through that module. A short memory run loads
+    no scipy; the quadrature reference, which needs it, still works after."""
     script = f"""
 import sys
+import types
 import satqlink
 assert "numpy" not in sys.modules
 from satqlink import cli, linkbudget
+lazy = satqlink.spindyn
+assert isinstance(lazy, types.ModuleType)
+assert sys.modules["satqlink.spindyn"] is lazy and cli.spindyn is lazy
 out = {str(tmp_path)!r}
-for argv in (["scenario"], ["linkmap"], ["gainmap"],
-             ["memory", "--grid", "32", "--storage", "1", "--samples", "5"]):
+for argv in (["scenario"], ["linkmap"], ["gainmap"]):
     assert cli.main([*argv, "--out", out]) == 0
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
+assert not loaded, loaded
+memory = ["memory", "--grid", "32", "--storage", "1", "--samples", "5", "--out", out]
+assert cli.main(memory) == 0
+assert "numpy" in sys.modules
+assert satqlink.spindyn is lazy and sys.modules["satqlink.spindyn"] is lazy
+calls = []
+solve = lazy.simulate_protocol
+lazy.simulate_protocol = lambda *a, **k: calls.append(1) or solve(*a, **k)
+assert cli.main(memory) == 0
+assert calls == [1]
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 link = linkbudget.OpticalLinkParams()
@@ -442,3 +460,28 @@ assert "scipy.integrate" in sys.modules
 """
     cp = _run_script(script)
     assert cp.returncode == 0, cp.stderr
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    lo=st.floats(-1e6, 1e6, allow_subnormal=False),
+    hi=st.floats(-1e6, 1e6, allow_subnormal=False),
+    steps=st.integers(2, 400),
+    scale=st.sampled_from([1.0, 1e-6, math.pi / 180.0]),
+)
+# the default linkmap and gainmap axes, and the same bounds at 320 steps
+@example(lo=500.0, hi=2500.0, steps=21, scale=1.0)
+@example(lo=0.0, hi=5.0, steps=21, scale=1e-6)
+@example(lo=20.0, hi=90.0, steps=15, scale=math.pi / 180.0)
+@example(lo=0.1, hi=1.0, steps=19, scale=1.0)
+@example(lo=500.0, hi=2500.0, steps=320, scale=1.0)
+@example(lo=0.0, hi=5.0, steps=320, scale=1e-6)
+@example(lo=20.0, hi=90.0, steps=320, scale=math.pi / 180.0)
+@example(lo=0.1, hi=1.0, steps=320, scale=1.0)
+def test_axis_is_numpy_linspace(lo, hi, steps, scale):
+    lo, hi = lo * scale, hi * scale
+    assume(lo < hi)
+    # numpy takes another formula when the step underflows to zero; no axis
+    # of that span can be strictly ascending, so it is rejected either way
+    assume((hi - lo) / (steps - 1) != 0.0)
+    assert cli._axis("axis", lo, hi, steps) == np.linspace(lo, hi, steps).tolist()

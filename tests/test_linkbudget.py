@@ -124,31 +124,40 @@ def test_params_validation():
         lb.beam_radius(-1.0, LINK)
 
 
-def test_closed_forms_broadcast_like_scalar_calls():
-    thetas = np.linspace(0.05, math.pi / 2, 17)
-    ranges = np.linspace(300e3, 2600e3, 17)
-    cases = (
-        (lambda x: lb.atmospheric_transmission(x, 0.8), thetas),
-        (lambda x: lb.beam_radius(x, LINK), ranges),
-        (lambda x: lb.effective_spot_sigma(x, LINK), ranges),
-        (lambda x: lb.collected_fraction(x, LINK), ranges),
-        (lambda x: lb.single_link_efficiency(x, 500e3 / np.sin(x), LINK), thetas),
-    )
-    for fn, axis in cases:
-        batch = fn(axis)
-        assert batch.shape == axis.shape
-        scalar = np.array([fn(float(x)) for x in axis])
-        np.testing.assert_allclose(batch, scalar, rtol=1e-15, atol=0.0)
+def test_row_kernel_matches_scalar_calls():
+    # one row per elevation, each cell bit for bit the scalar closed forms
+    # with that cell's jitter: detector * atmosphere * collected fraction,
+    # the collected fraction from the jitter-broadened spot
+    thetas = np.linspace(0.05, math.pi / 2, 17).tolist()
+    jitters = np.linspace(0.0, 5e-6, 17).tolist()
+    r = LINK.receiver_radius
+    for theta in thetas:
+        l = 500e3 / math.sin(theta)
+        row = lb.link_efficiency_row(theta, l, LINK, jitters)
+        assert len(row) == len(jitters)
+        for sigma, cell in zip(jitters, row):
+            link = replace(LINK, pointing_jitter_rms=sigma)
+            assert cell == lb.single_link_efficiency(theta, l, link)
+            collected = lb.collected_fraction(l, link)
+            assert cell == (link.detector_efficiency
+                            * lb.atmospheric_transmission(theta, link.zenith_transmission)
+                            * collected)
+            spot = lb.effective_spot_sigma(l, link)
+            assert spot == math.hypot(lb.beam_radius(l, link) / 2.0, sigma * l)
+            assert collected == 1.0 - math.exp(-r * r / (2.0 * spot * spot))
 
 
-def test_array_range_checks_still_raise():
-    with pytest.raises(ValueError):
-        lb.atmospheric_transmission(np.array([0.5, 0.0]), 0.8)
-    with pytest.raises(ValueError):
-        lb.atmospheric_transmission(np.array([0.5, math.nan]), 0.8)
-    with pytest.raises(ValueError):
-        lb.beam_radius(np.array([1.0, -1.0]), LINK)
-    with pytest.raises(ValueError):
-        lb.effective_spot_sigma(np.array([1e5, 0.0]), LINK)
-    with pytest.raises(ValueError):
-        lb.collected_fraction(np.array([1e5, -1e5]), LINK)
+def test_range_checks_reject_nan_and_out_of_domain():
+    for bad in (math.nan, -1.0, math.pi / 2 + 0.01):
+        with pytest.raises(ValueError):
+            lb.atmospheric_transmission(bad, 0.8)
+        with pytest.raises(ValueError):
+            lb.atmospheric_transmission(0.5, bad)
+    for bad in (math.nan, -1.0):
+        for fn in (lb.beam_radius, lb.effective_spot_sigma, lb.collected_fraction):
+            with pytest.raises(ValueError):
+                fn(bad, LINK)
+        with pytest.raises(ValueError):
+            lb.single_link_efficiency(0.5, bad, LINK)
+        with pytest.raises(ValueError):
+            lb.link_efficiency_row(0.5, bad, LINK, [0.0, 1e-6])

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satqlink import geometry as geo, linkbudget as lb, scenario as scn
 from satqlink.formatting import csv_float
@@ -100,6 +102,8 @@ def test_downlink_map_structure():
     ranges = np.linspace(500.0, 2500.0, 9)
     jitters = np.linspace(0.0, 5e-6, 7)
     grid = scn.downlink_probability_map(ranges, jitters, CFG)
+    assert isinstance(grid, scn.Grid) and grid.size == 63
+    grid = np.asarray(grid)
     assert grid.shape == (9, 7)
     assert np.all(np.diff(grid, axis=0) < 0)  # longer range, lower probability
     assert np.all(np.diff(grid, axis=1) < 0)  # more jitter, lower probability
@@ -117,9 +121,9 @@ def test_downlink_map_consistent_with_single_link():
         * lb.atmospheric_transmission(math.pi / 2, CFG.link.zenith_transmission)
         * lb.collected_fraction(500e3, CFG.link)
     )
-    assert abs(grid[0, 0] - zenith) < 1e-12
-    assert grid[0, 0] == pytest.approx(0.07969240955946144, rel=1e-12)
-    assert grid[1, 0] == pytest.approx(0.004939441019962934, rel=1e-12)
+    assert abs(grid[0][0] - zenith) < 1e-12
+    assert grid[0][0] == pytest.approx(0.07969240955946144, rel=1e-12)
+    assert grid[1][0] == pytest.approx(0.004939441019962934, rel=1e-12)
     # the diffraction parts of the two cells keep the closed-form ratio
     dif_ratio = (
         lb.collected_fraction(1461.9e3, CFG.link) / lb.collected_fraction(500e3, CFG.link)
@@ -135,15 +139,22 @@ def test_downlink_map_rejects_bad_axes():
     with pytest.raises(ValueError):
         # below the zenith range for this altitude
         scn.downlink_probability_map(np.array([450.0]), np.array([1e-6]), CFG)
+    with pytest.raises(ValueError):
+        scn.downlink_probability_map(np.array([math.nan]), np.array([1e-6]), CFG)
+    with pytest.raises(ValueError):
+        scn.downlink_probability_map(np.array([700.0]), np.array([math.nan]), CFG)
+    with pytest.raises(ValueError):
+        scn.downlink_probability_map(np.array([[700.0, 900.0]]), np.array([1e-6]), CFG)
 
 
 def test_gain_map_baseline_and_structure():
     elevations = np.radians(np.linspace(20.0, 90.0, 15))
     memories = np.linspace(0.1, 1.0, 10)
-    grid = scn.gain_map(elevations, memories, CFG)
+    grid = np.asarray(scn.gain_map(elevations, memories, CFG))
+    assert grid.shape == (15, 10)
     assert np.all(np.diff(grid, axis=0) > 0)  # higher elevation helps
     assert np.all(np.diff(grid, axis=1) > 0)  # better memory helps
-    baseline = scn.gain_map(np.array([math.pi / 2]), np.array([0.74]), CFG)[0, 0]
+    baseline = scn.gain_map(np.array([math.pi / 2]), np.array([0.74]), CFG)[0][0]
     assert baseline == pytest.approx(111.22522764829596, rel=1e-9)
     assert baseline >= 100.0
 
@@ -151,7 +162,7 @@ def test_gain_map_baseline_and_structure():
 def test_gain_map_is_linear_in_memory():
     elevations = np.radians(np.array([30.0, 60.0, 90.0]))
     memories = np.array([0.25, 0.5, 1.0])
-    grid = scn.gain_map(elevations, memories, CFG)
+    grid = np.asarray(scn.gain_map(elevations, memories, CFG))
     assert np.allclose(grid[:, 2] * 0.25, grid[:, 0], rtol=1e-12)
     assert np.allclose(grid[:, 2] * 0.5, grid[:, 1], rtol=1e-12)
 
@@ -159,7 +170,7 @@ def test_gain_map_is_linear_in_memory():
 def test_gain_map_self_comparison_is_unity():
     l20 = geo.slant_range_from_elevation(math.radians(20.0), CFG.orbit)
     consistent = replace(CFG, dual_slant_range=l20)
-    cell = scn.gain_map(np.array([math.radians(20.0)]), np.array([1.0]), consistent)[0, 0]
+    cell = scn.gain_map(np.array([math.radians(20.0)]), np.array([1.0]), consistent)[0][0]
     assert cell == pytest.approx(1.0, rel=1e-12)
 
 
@@ -237,7 +248,7 @@ def test_downlink_map_matches_per_cell_reference():
                 * lb.atmospheric_transmission(theta, link.zenith_transmission)
                 * lb.collected_fraction(float(l_km) * 1e3, link)
             )
-            assert grid[i, j] == pytest.approx(cell, rel=1e-12, abs=0.0)
+            assert grid[i][j] == pytest.approx(cell, rel=1e-12, abs=0.0)
 
 
 def test_gain_map_matches_per_row_reference():
@@ -252,7 +263,7 @@ def test_gain_map_matches_per_row_reference():
         arm = (lb.atmospheric_transmission(float(theta), ez)
                * lb.collected_fraction(l_km * 1e3, CFG.link))
         for j, mem in enumerate(memories):
-            assert grid[i, j] == pytest.approx(mem * arm * arm / ref, rel=1e-12, abs=0.0)
+            assert grid[i][j] == pytest.approx(mem * arm * arm / ref, rel=1e-12, abs=0.0)
 
 
 def _naive_grid_csv(header, row_labels, column_labels, grid):
@@ -279,3 +290,45 @@ def test_map_writers_match_naive_reference():
         "elevation_deg,memory_efficiency,gain",
         [math.degrees(float(t)) for t in elevations], [float(m) for m in memories], gains,
     )
+
+
+# Axis points as distinct per-mille steps of their span, so neighbouring
+# cells differ by far more than rounding.
+_PER_MILLE = st.lists(st.integers(0, 999), min_size=1, max_size=8, unique=True).map(sorted)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(altitude=st.floats(300.0, 1500.0), range_steps=_PER_MILLE, jitter_steps=_PER_MILLE)
+def test_link_map_cells_are_the_single_link_kernel(altitude, range_steps, jitter_steps):
+    cfg = replace(CFG, orbit=replace(CFG.orbit, altitude=altitude))
+    horizon = math.sqrt(cfg.orbit.orbit_radius ** 2 - cfg.orbit.earth_radius ** 2)
+    ranges = [altitude + (horizon - altitude) * k / 1000.0 for k in range_steps]
+    jitters = [k * 1e-8 for k in jitter_steps]
+    grid = scn.downlink_probability_map(ranges, jitters, cfg)
+    assert grid.size == len(ranges) * len(jitters)
+    for l, row in zip(ranges, grid):
+        theta = geo.elevation_from_slant_range(l, cfg.orbit)
+        for sigma, cell in zip(jitters, row):
+            link = replace(cfg.link, pointing_jitter_rms=sigma)
+            assert cell == lb.single_link_efficiency(theta, l * 1e3, link)
+            assert 0.0 <= cell <= 1.0
+    # strictly decreasing along range and along jitter while positive
+    for line in [*grid, *zip(*grid)]:
+        for a, b in zip(line, line[1:]):
+            assert b < a if a > 0.0 else b == 0.0
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(altitude=st.floats(300.0, 1500.0), elevation_steps=_PER_MILLE, memory_steps=_PER_MILLE)
+def test_gain_map_cells_are_row_ratio_times_memory(altitude, elevation_steps, memory_steps):
+    cfg = replace(CFG, orbit=replace(CFG.orbit, altitude=altitude))
+    elevations = [(k + 1) / 1000.0 * math.pi / 2.0 for k in elevation_steps]
+    memories = [k / 999.0 for k in memory_steps]
+    grid = scn.gain_map(elevations, memories, cfg)
+    assert grid.size == len(elevations) * len(memories)
+    dual = lb.single_link_efficiency(cfg.dual_elevation, cfg.dual_slant_range * 1e3, cfg.link)
+    for theta, row in zip(elevations, grid):
+        l = geo.slant_range_from_elevation(theta, cfg.orbit)
+        arm = lb.single_link_efficiency(theta, l * 1e3, cfg.link)
+        ratio = arm * arm / (dual * dual)
+        assert row == [ratio * m for m in memories]
