@@ -11,10 +11,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .spindyn import EnsembleParams
 
 __all__ = [
     "AFCParams",
-    "EnsembleParams",
     "CavityParams",
     "ControlPulse",
     "finesse",
@@ -51,40 +54,6 @@ class AFCParams:
                 "lifetime broadening will wash out the comb",
                 stacklevel=2,
             )
-
-
-@dataclass(frozen=True)
-class EnsembleParams:
-    """Hybrid-cell ensemble parameters for the spin dynamics.
-
-    Rates are s^-1, diffusion constants m^2/s and the cell radius m.
-    """
-
-    exchange_coupling: float = 2.00e-5   # alkali/noble coherent coupling J
-    alkali_decay: float = 3.1e-7
-    noble_decay: float = 0.0
-    alkali_detuning: float = 0.0
-    noble_detuning: float = 1.11e-3
-    alkali_diffusion: float = 1.02e-8
-    noble_diffusion: float = 2.05e-8
-    cell_radius: float = 0.01
-    optical_decay: float = 2.0 * math.pi * 5.96e6
-
-    def __post_init__(self):
-        for name in (
-            "exchange_coupling",
-            "alkali_decay",
-            "noble_decay",
-            "alkali_diffusion",
-            "noble_diffusion",
-            "optical_decay",
-        ):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be non-negative")
-        if not self.cell_radius > 0.0:
-            raise ValueError("cell_radius must be positive")
-        if not (math.isfinite(self.alkali_detuning) and math.isfinite(self.noble_detuning)):
-            raise ValueError("detunings must be finite")
 
 
 @dataclass(frozen=True)

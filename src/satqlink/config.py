@@ -14,13 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .afc import EnsembleParams
 from .formatting import config_value
 from .geometry import OrbitalConfig
 from .linkbudget import OpticalLinkParams
 from .scenario import ScenarioConfig
 from .skr import CALIBRATED_QBER, QKDParams
+
+if TYPE_CHECKING:
+    from .spindyn import EnsembleParams
 
 __all__ = [
     "ConfigError",
@@ -165,7 +168,12 @@ def ensemble_params(cfg: RunConfig, preset: str) -> EnsembleParams:
         complete transfer fits well inside the buffer interval.
     lossless: decays and diffusion zeroed, rescaled coupling; useful as a
         unitarity check.
+
+    Only ``memory`` builds these, so the spin-dynamics module that defines
+    them (and numpy with it) is imported here, not with the configuration.
     """
+    from .spindyn import EnsembleParams
+
     if preset not in ENSEMBLE_PRESETS:
         raise ConfigError(f"preset must be one of {ENSEMBLE_PRESETS}, got '{preset}'")
     j = cfg.exchange_coupling

@@ -9,17 +9,19 @@ Every schedule phase has constant controls, so within a phase the fields
 obey a linear system y' = A y with a constant A, and the state at any time
 of the phase is exp(tau A) y0. A is assembled once per phase from a 3x3
 block that acts at every node (decay, detuning, control and exchange
-couplings) and the tridiagonal diffusion stencils of S and K. Fields that
-no coupling of the phase links are propagated one by one and exactly: the
-flux-form Laplacian is symmetric once scaled by the square root of the
-shell volumes, so ``numpy.linalg.eigh`` diagonalises it and every sample
-of the phase is one matrix product. Coupled fields ({S, K} in a transfer,
-{P, S} in an optical window) take a scaled, truncated Taylor series of the
-exponential applied to the state (Al-Mohy & Higham, SIAM J. Sci. Comput.
-33, 488 (2011)) on the stencils, as long as its cost, ||A - mu I||_1 times
-the phase duration, stays below ``_TAYLOR_LIMIT``. A costlier group, such
-as a transfer of the ``paper-literal`` preset, is integrated by LSODA with
-its real band as the exact Jacobian. Integration restarts at every control
+couplings) and the tridiagonal diffusion stencils of S and K. Each group of
+fields that the phase couples is propagated exactly in an eigenbasis of the
+Laplacian: the flux-form Laplacian is symmetric once scaled by the square
+root of the shell volumes, so ``numpy.linalg.eigh`` diagonalises it, once
+per run and wall condition. In that basis a single field (storage) and the
+{P, S} optical window split into independent modes of one or two fields,
+each exponentiated in closed form. The Dirichlet stencil of S differs from
+the Neumann stencil of K only at the wall node, so in the Neumann basis an
+{S, K} transfer is n 2 x 2 blocks plus a rank-one wall term; its
+exponential is a trapezoid sum of the resolvent along a Talbot contour
+(Trefethen, Weideman & Schmelzer, BIT 46, 653 (2006)), each resolvent
+solved by Sherman-Morrison in O(n). Without diffusion every group is a 2 x
+2 block per node, in closed form. Integration restarts at every control
 discontinuity.
 
 Boundary conditions follow the wall physics: the alkali spin wave is
@@ -33,9 +35,9 @@ else. A full three-field mode is available by giving ``integrate`` an
 initial state with optical amplitude and a schedule with non-zero control
 windows.
 
-Only the LSODA fallback needs scipy (``scipy.integrate``), and it imports
-it on its first call: a protocol that never reaches the fallback loads no
-scipy.
+The propagators need numpy only. LSODA (``scipy.integrate``, imported on
+its first call) steps the same operators as the reference that the tests
+hold them to; no protocol run calls it.
 """
 
 from __future__ import annotations
@@ -45,12 +47,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .afc import EnsembleParams
 from .config import INITIAL_PROFILES
 from .formatting import csv_floats
 
 __all__ = [
     "SolverFailure",
+    "EnsembleParams",
     "RadialGrid",
     "SpinFieldState",
     "ProtocolSchedule",
@@ -64,20 +66,17 @@ __all__ = [
     "write_kymograph_csv",
 ]
 
-# Largest ||A - mu I||_1 * duration of a coupled group that the Taylor
-# propagator takes on; a costlier group goes to LSODA. Taylor takes about
-# three stencil products per unit of it, LSODA a step count that grows far
-# more slowly. At n = 256 on 2 vCPUs a group of this cost takes Taylor
-# 0.25 s, LSODA 0.10-0.18 s plus 0.57 s to import scipy.integrate once.
-_TAYLOR_LIMIT = 2e3
-
-# Taylor degree m -> theta_m, the largest ||h (A - mu I)||_1 at which the
-# degree-m truncation of exp has backward error below 2^-53 (Al-Mohy &
-# Higham 2011, Table 3.1).
-_THETA = {
-    5: 2.40e-3, 10: 1.44e-1, 15: 6.41e-1, 20: 1.44, 25: 2.43, 30: 3.54,
-    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
-}
+# Nodes of the contour quadrature of a coupled group's exponential, and the
+# largest step h times the imaginary extent of the group's spectrum that one
+# quadrature takes on; a longer phase is split into equal steps. The extent
+# comes from the detunings and couplings, not from diffusion, whose spectrum
+# stays on the real axis. The quadrature error falls like 3.9^-N and its
+# rounding grows with N. On rescaled transfer steps at n = 128 against a
+# dense expm (largest error relative to the state, over step lengths from
+# 0.02 to 1 of the transfer): 5e-11 at N = 24, 3e-14 at N = 32, 8e-14 at
+# N = 40 and 2e-12 at N = 64 with span 1.5; 8e-14 at N = 32 with span 2.
+_TALBOT_NODES = 32
+_CONTOUR_SPAN = 1.5
 
 # Right-hand-side evaluations one LSODA phase may take: about 20x the largest
 # phase of a legitimate run, so that a runaway phase fails instead of never
@@ -95,6 +94,40 @@ class SolverFailure(RuntimeError):
     """A phase propagator failed: a linear-algebra routine did not converge, a
     phase ended in a non-finite state, or LSODA missed its tolerances or spent
     its evaluation budget."""
+
+
+@dataclass(frozen=True)
+class EnsembleParams:
+    """Hybrid-cell ensemble parameters for the spin dynamics.
+
+    Rates are s^-1, diffusion constants m^2/s and the cell radius m.
+    """
+
+    exchange_coupling: float = 2.00e-5   # alkali/noble coherent coupling J
+    alkali_decay: float = 3.1e-7
+    noble_decay: float = 0.0
+    alkali_detuning: float = 0.0
+    noble_detuning: float = 1.11e-3
+    alkali_diffusion: float = 1.02e-8
+    noble_diffusion: float = 2.05e-8
+    cell_radius: float = 0.01
+    optical_decay: float = 2.0 * math.pi * 5.96e6
+
+    def __post_init__(self):
+        for name in (
+            "exchange_coupling",
+            "alkali_decay",
+            "noble_decay",
+            "alkali_diffusion",
+            "noble_diffusion",
+            "optical_decay",
+        ):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be non-negative")
+        if not self.cell_radius > 0.0:
+            raise ValueError("cell_radius must be positive")
+        if not (math.isfinite(self.alkali_detuning) and math.isfinite(self.noble_detuning)):
+            raise ValueError("detunings must be finite")
 
 
 class RadialGrid:
@@ -330,11 +363,6 @@ class _Operator:
         return _Operator(self.local[np.ix_(picked, picked)], self.lower[:, picked],
                          self.diag[:, picked], self.upper[:, picked])
 
-    def centred(self) -> tuple[complex, _Operator]:
-        """mu = trace(A) / size, and A - mu I."""
-        mu = self.diag.mean() + np.diag(self.local).mean()
-        return mu, replace(self, diag=self.diag - mu)
-
     def norm1(self) -> float:
         """Largest column sum of |A|."""
         local = np.abs(self.local)
@@ -374,58 +402,163 @@ def _coupled_groups(local: np.ndarray) -> list:
     return groups
 
 
-def _eigen_propagate(op: _Operator, grid: RadialGrid, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """exp(tau A) y at every tau of ``taus`` for one field y (n,), exactly.
+def _basis(grid: RadialGrid, bc: str, bases: dict):
+    """(eigenvalues, orthonormal eigenvectors) of the flux-form Laplacian under
+    ``bc``, symmetrised by the square root of the shell volumes V: L is
+    similar to V^(1/2) L V^(-1/2), whose off-diagonal is the geometric mean of
+    L's two. Computed once per ``bases`` cache, that is once per run."""
+    if bc not in bases:
+        lower, diag, upper = _laplacian_diagonals(grid, bc)
+        off = np.sqrt(lower * upper)
+        lam, q = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        # The flux-form Laplacian is negative semi-definite; clipping the rounding
+        # of the Neumann zero mode keeps exp from growing over very long phases.
+        bases[bc] = np.minimum(lam, 0.0), q
+    return bases[bc]
 
-    D L is similar to the symmetric matrix V^(1/2) D L V^(-1/2) (V the shell
-    volumes), whose off-diagonal is the geometric mean of L's two. One
-    ``eigh`` of it gives the modes; each sample is then a product of mode
-    amplitudes and exponentials.
+
+def _block_exp(blocks: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """exp(tau B) (nt, n, g, g) for per-mode blocks B (n, g, g), g = 1 or 2,
+    at every tau of ``taus``.
+
+    A 2 x 2 block with eigenvalues l1 (the larger real part) and l2 has
+    exp(tau B) = exp(l1 tau) (I + f (B - l1 I)) with the divided difference
+    f = tau expm1(x) / x, x = (l2 - l1) tau; no factor grows with tau, where
+    the cosh / sinh form overflows.
     """
-    c = op.local[0, 0]
-    if not y.any():
-        return np.zeros((len(taus), len(y)), dtype=np.complex128)
-    if not op.diag.any():
-        return np.exp(c * taus)[:, None] * y
-    off = np.sqrt(op.lower[:, 0] * op.upper[:, 0])
-    lam, q = np.linalg.eigh(np.diag(op.diag[:, 0]) + np.diag(off, 1) + np.diag(off, -1))
-    # The flux-form Laplacian is negative semi-definite; clipping the rounding
-    # of the Neumann zero mode keeps exp from growing over very long phases.
-    lam = np.minimum(lam, 0.0)
-    root = np.sqrt(grid.shell_volumes)
-    modes = q.T @ (root * y)
-    return (np.exp(np.outer(taus, c + lam)) * modes) @ q.T / root
+    if blocks.shape[1] == 1:
+        return np.exp(np.multiply.outer(taus, blocks))
+    a, b, c, d = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
+    s = np.sqrt(((a - d) / 2.0) ** 2 + b * c)  # principal root: Re s >= 0
+    l1 = (a + d) / 2.0 + s
+    gap = np.outer(taus, -2.0 * s)
+    f = taus[:, None] * np.divide(np.expm1(gap), gap, out=np.ones_like(gap), where=gap != 0.0)
+    shifted = blocks - l1[:, None, None] * np.eye(2)
+    return np.exp(np.outer(taus, l1))[:, :, None, None] * (np.eye(2) + f[:, :, None, None] * shifted)
 
 
-def _taylor_steps(x: float) -> tuple[int, int]:
-    """(substeps s, degree m) with the fewest products s m such that x / s <= theta_m."""
-    return min(((max(1, math.ceil(x / theta)), m) for m, theta in _THETA.items()),
-               key=lambda sm: sm[0] * sm[1])
+def _talbot():
+    """Nodes w_j and weights c_j with exp(A) x ~ sum_j c_j (w_j - A)^-1 x: the
+    trapezoid rule on the modified Talbot contour
+    w(theta) = N (-0.6122 + 0.5017 theta cot(0.6407 theta) + 0.2645 i theta)
+    (Trefethen, Weideman & Schmelzer, BIT 46, 653 (2006)), for A whose
+    spectrum lies in a strip of half-width 0.75 left of the imaginary axis."""
+    n = _TALBOT_NODES
+    theta = np.pi * (2.0 * np.arange(n) + 1.0 - n) / n
+    cot = 1.0 / np.tan(0.6407 * theta)
+    w = n * (-0.6122 + 0.5017 * theta * cot + 0.2645j * theta)
+    dw = n * (0.5017 * (cot - 0.6407 * theta * (1.0 + cot ** 2)) + 0.2645j)
+    return w, np.exp(w) * dw / (1j * n)
 
 
-def _taylor_propagate(mu: complex, shifted: _Operator, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """exp(tau A) y at every increasing tau of ``taus``, for A = ``shifted`` +
-    ``mu`` I, by a scaled, truncated Taylor series from one sample to the
-    next (Al-Mohy & Higham 2011, Algorithm 3.2)."""
-    norm = shifted.norm1()
-    frames = np.empty((len(taus),) + y.shape, dtype=np.complex128)
+def _inverse_blocks(m: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of g x g blocks; 2 x 2 ones as adjugate / determinant."""
+    if m.shape[-1] != 2:
+        return np.linalg.inv(m)
+    inverse = np.empty_like(m)
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    inverse[..., 0, 0] = m[..., 1, 1] / det
+    inverse[..., 0, 1] = -m[..., 0, 1] / det
+    inverse[..., 1, 0] = -m[..., 1, 0] / det
+    inverse[..., 1, 1] = m[..., 0, 0] / det
+    return inverse
+
+
+def _contour_step(blocks: np.ndarray, wall, h: float):
+    """exp(h A) as a function of the modal state (n, g), for A the per-mode
+    blocks less the rank-one wall term sigma v v^T, v = e_f (x) u, when
+    ``wall`` = (f, sigma, u) is given.
+
+    The resolvent is taken in the scaled variable h A, so that no node grows
+    like 1 / h, and through Sherman-Morrison on the blocks' inverses: the
+    quadrature gives the blocks' exponential plus one rank-one term per node.
+    Blocks of up to two fields are exponentiated in closed form instead, so
+    that only the wall term carries the quadrature's rounding (on rescaled
+    transfers at n = 64, 3e-14 of the state rather than 1.2e-13).
+    """
+    n, g, _ = blocks.shape
+    w, weights = _talbot()
+    inverses = _inverse_blocks(w[:, None, None, None] * np.eye(g) - h * blocks)
+    if g <= 2:
+        diagonal = _block_exp(blocks, np.array([h]))[0]
+    else:
+        diagonal = np.tensordot(weights, inverses, axes=1)
+    if wall is None:
+        return lambda x: (diagonal @ x[:, :, None])[:, :, 0]
+    f, sigma, u = wall
+    towards = inverses[:, :, :, f] * u[:, None]  # M^-1 v, one row per node
+    away = inverses[:, :, f, :] * u[:, None]     # v^T M^-1
+    scale = weights * h * sigma / (1.0 + h * sigma * (towards[:, :, f] @ u))
+    towards = (scale[:, None, None] * towards).reshape(len(w), n * g)
+    away = away.reshape(len(w), n * g)
+    return lambda x: (diagonal @ x[:, :, None])[:, :, 0] - (towards.T @ (away @ x.ravel())).reshape(n, g)
+
+
+def _contour_frames(blocks, wall, x, taus, longest):
+    """exp(tau A) x at every increasing tau of ``taus``, from one sample to
+    the next in equal steps of at most ``longest``; steps of one length share
+    their quadrature."""
+    frames = np.empty((len(taus),) + x.shape, dtype=np.complex128)
+    steps = {}
     previous = 0.0
     for i, tau in enumerate(taus):
-        h, previous = tau - previous, tau
-        s, m = _taylor_steps(norm * h)
-        for _ in range(s):
-            term, total = y, y
-            last = np.abs(term).max()
-            for k in range(1, m + 1):
-                term = (h / (s * k)) * (shifted @ term)
-                size = np.abs(term).max()
-                total = total + term
-                if last + size <= 2.0 ** -53 * np.abs(total).max():
-                    break
-                last = size
-            y = np.exp(mu * h / s) * total
-        frames[i] = y
+        count = math.ceil((tau - previous) / longest)
+        h, previous = (tau - previous) / count, tau
+        if h not in steps:
+            steps[h] = _contour_step(blocks, wall, h)
+        for _ in range(count):
+            x = steps[h](x)
+        frames[i] = x
     return frames
+
+
+def _group_propagate(op: _Operator, grid: RadialGrid, y: np.ndarray, taus: np.ndarray,
+                     bases: dict) -> np.ndarray:
+    """exp(tau A) y at every tau of ``taus`` for the block A of one coupled
+    group of g fields and its state y (n, g).
+
+    Field f diffuses by D_f L_N - sigma_f e_n e_n^T: D_f times the Neumann
+    Laplacian, less a wall term sigma_f at the wall node that pins a Dirichlet
+    field to zero. Both are read off the operator. The group is propagated in
+    one eigenbasis of the Laplacian: none without diffusion, the Dirichlet
+    one when every diffusing field is pinned, the Neumann one otherwise. In
+    it A splits into n blocks g x g, one per mode, plus a rank-one wall term
+    on the pinned field in the Neumann basis (only S is pinned). Blocks of
+    one or two fields without a wall term are exponentiated in closed form;
+    any other group through a contour integral of its resolvent.
+    """
+    n, g = y.shape
+    upper = _laplacian_diagonals(grid, "neumann")[2]
+    rates = op.upper[0] / upper[0]
+    walls = -(op.diag[-1] + op.lower[-1])
+    diffusing = rates != 0.0
+    # Shift by the rightmost decay and the centre of the detunings: the
+    # spectrum then lies left of the imaginary axis, centred on the real one.
+    local = np.diag(op.local)
+    mu = local.real.max() + 0.5j * (local.imag.max() + local.imag.min())
+    blocks = np.repeat((op.local - mu * np.eye(g))[None], n, axis=0)
+    wall = None
+    if diffusing.any():
+        bc = "dirichlet" if walls[diffusing].all() else "neumann"
+        lam, q = _basis(grid, bc, bases)
+        blocks[:, range(g), range(g)] += lam[:, None] * rates
+        root = np.sqrt(grid.shell_volumes)[:, None]
+        x = q.T @ (root * y)
+        if bc == "neumann" and walls.any():
+            f = int(np.flatnonzero(walls)[0])
+            wall = (f, walls[f], q[-1])
+    else:
+        x = y
+    if wall is None and g <= 2:
+        frames = (_block_exp(blocks, taus) @ x[:, :, None])[..., 0]
+    else:
+        couplings = np.abs(op.local - np.diag(local)).sum(axis=1).max()
+        longest = _CONTOUR_SPAN / (np.ptp(local.imag) + 2.0 * couplings)
+        frames = _contour_frames(blocks, wall, x, taus, longest)
+    frames *= np.exp(mu * taus)[:, None, None]
+    if not diffusing.any():
+        return frames
+    return np.tensordot(frames, q, axes=(1, 1)).transpose(0, 2, 1) / root
 
 
 def _real_band(op: _Operator) -> tuple[np.ndarray, int]:
@@ -487,21 +620,25 @@ def _lsoda_propagate(op: _Operator, y: np.ndarray, t0: float, t_eval: np.ndarray
 
 
 def _propagate(op: _Operator, grid: RadialGrid, y: np.ndarray, t0: float,
-               t_eval: np.ndarray, where: str) -> np.ndarray:
+               t_eval: np.ndarray, where: str, bases: dict | None = None) -> np.ndarray:
     """The (n, 3) state at every time of ``t_eval`` in the phase that starts
-    at ``t0`` from state ``y``: each single field exactly, each coupled group
-    by Taylor or, above ``_TAYLOR_LIMIT``, by LSODA."""
+    at ``t0`` from state ``y``, each coupled group exactly. ``bases`` caches
+    the Laplacian eigenbases across the phases of one run. Raises
+    :class:`SolverFailure`, naming ``where``, when a linear-algebra routine
+    fails or the phase ends in a non-finite state."""
     taus = t_eval - t0
-    frames = np.empty((len(t_eval),) + y.shape, dtype=np.complex128)
-    for group in _coupled_groups(op.local):
-        block = op.fields(group)
-        mu, centred = block.centred()
-        if len(group) == 1:
-            frames[:, :, group[0]] = _eigen_propagate(block, grid, y[:, group[0]], taus)
-        elif centred.norm1() * taus[-1] <= _TAYLOR_LIMIT:
-            frames[:, :, group] = _taylor_propagate(mu, centred, y[:, group], taus)
-        else:
-            frames[:, :, group] = _lsoda_propagate(block, y[:, group], t0, t_eval, where)
+    bases = {} if bases is None else bases
+    frames = np.zeros((len(t_eval),) + y.shape, dtype=np.complex128)
+    try:
+        # An invalid operation leaves a NaN, which the check below reports.
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            for group in _coupled_groups(op.local):
+                if y[:, group].any():
+                    frames[:, :, group] = _group_propagate(op.fields(group), grid, y[:, group], taus, bases)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"{where}: {exc}") from exc
+    if not np.isfinite(frames[-1]).all():
+        raise SolverFailure(f"{where} ended in a non-finite state")
     return frames
 
 
@@ -546,16 +683,16 @@ def integrate(
 
     Each schedule phase has constant control values, so the propagation is
     restarted at every phase boundary (exact event handling at the control
-    discontinuities). Within a phase, fields that no coupling links are
-    propagated exactly through the eigenmodes of their diffusion operator,
-    and each coupled group by a truncated Taylor series of the exponential,
-    or by LSODA at ``_RTOL``/``_ATOL`` when the Taylor cost would exceed
-    ``_TAYLOR_LIMIT``. States are evaluated at ``sample_times``; phase
+    discontinuities). Within a phase, each group of fields that the phase
+    couples is propagated exactly in an eigenbasis of the Laplacian: in
+    closed form for a single field, an optical window or any group without
+    diffusion, and by a Talbot contour quadrature of the resolvent for an
+    {S, K} transfer. Each eigenbasis is computed once per call, when a phase
+    first needs it. States are evaluated at ``sample_times``; phase
     boundaries are always included. Raises :class:`SolverFailure`, naming
-    the phase, when a linear-algebra routine fails, a phase ends in a
-    non-finite state, or LSODA cannot reach its tolerances or exceeds
-    ``_MAX_RHS_PER_PHASE``; and ValueError for a phase that still matters
-    but is shorter than the float resolution of its start time.
+    the phase, when a linear-algebra routine fails or a phase ends in a
+    non-finite state; and ValueError for a phase that still matters but is
+    shorter than the float resolution of its start time.
     """
     phases = _schedule_phases(schedule, ens)
     total = sum(d for d, _, _ in phases)
@@ -568,6 +705,7 @@ def integrate(
     times = [0.0]
     frames = [y[None]]
 
+    bases = {}
     t0 = 0.0
     for index, (duration, omega, j_value) in enumerate(phases):
         t1 = t0 + duration
@@ -583,12 +721,7 @@ def integrate(
         inside = requested[(requested > t0 + 1e-15 * max(t1, 1.0)) & (requested < t1 - 1e-15 * max(t1, 1.0))]
         t_eval = np.unique(np.concatenate((inside, [t1])))
         where = f"phase {index + 1} of {len(phases)} (t = {t0:g} to {t1:g} s)"
-        try:
-            block = _propagate(a, grid, y, t0, t_eval, where)
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure(f"{where}: {exc}") from exc
-        if not np.isfinite(block[-1]).all():
-            raise SolverFailure(f"{where} ended in a non-finite state")
+        block = _propagate(a, grid, y, t0, t_eval, where, bases)
         times.extend(t_eval)
         frames.append(block)
         y = block[-1]

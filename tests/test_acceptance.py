@@ -12,7 +12,7 @@ import pytest
 
 from satqlink import afc, geometry as geo, linkbudget as lb, scenario as scn, skr
 from satqlink import spindyn as sd
-from satqlink.afc import EnsembleParams
+from satqlink.spindyn import EnsembleParams
 from satqlink.skr import QKDParams
 
 

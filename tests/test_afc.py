@@ -3,6 +3,7 @@ import math
 import pytest
 
 from satqlink import afc
+from satqlink.spindyn import EnsembleParams
 
 
 def test_finesse():
@@ -76,7 +77,7 @@ def test_comb_dephasing_factor():
 
 
 def test_total_memory_efficiency():
-    ens = afc.EnsembleParams()
+    ens = EnsembleParams()
     comb = afc.AFCParams()
     saturated = afc.ControlPulse(duration=1.0, rabi_frequency=1e6)
     eta = afc.total_memory_efficiency(saturated, ens, comb)
@@ -85,13 +86,13 @@ def test_total_memory_efficiency():
     assert eta <= math.exp(-math.pi * ens.alkali_decay / ens.exchange_coupling)
     assert eta <= afc.comb_dephasing_factor(afc.finesse(comb))
 
-    lossless_spin = afc.EnsembleParams(alkali_decay=0.0)
+    lossless_spin = EnsembleParams(alkali_decay=0.0)
     sharp = afc.AFCParams(total_bandwidth=27e9, tooth_spacing=96e6, tooth_width=96e6 / 1e6,
                           homogeneous_linewidth=0.0)
     assert afc.total_memory_efficiency(saturated, lossless_spin, sharp) == pytest.approx(1.0, rel=1e-9)
 
     assert afc.total_memory_efficiency(afc.ControlPulse(), ens, comb) == 0.0
-    no_channel = afc.EnsembleParams(exchange_coupling=0.0)
+    no_channel = EnsembleParams(exchange_coupling=0.0)
     assert afc.total_memory_efficiency(saturated, no_channel, comb) == 0.0
 
 
@@ -131,6 +132,6 @@ def test_multimode_success_domain():
 
 def test_ensemble_params_validation():
     with pytest.raises(ValueError):
-        afc.EnsembleParams(exchange_coupling=-1.0)
+        EnsembleParams(exchange_coupling=-1.0)
     with pytest.raises(ValueError):
-        afc.EnsembleParams(cell_radius=0.0)
+        EnsembleParams(cell_radius=0.0)

@@ -288,22 +288,11 @@ def test_scenario_only_flags_are_usage_errors_elsewhere(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
-def test_memory_rhs_budget_is_a_solver_failure(monkeypatch, tmp_path, capsys):
-    # the literal coupling's transfer is above the Taylor limit: LSODA steps it
-    monkeypatch.setattr(spindyn, "_MAX_RHS_PER_PHASE", 1_000)
-    code = cli.main([
-        "memory", "--out", str(tmp_path / "o"), "--preset", "paper-literal",
-        "--grid", "16", "--samples", "3",
-    ])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "solver failure" in err and "1000 right-hand-side evaluations" in err
-
-
 @pytest.mark.parametrize("broken", ["raises", "nan"])
 def test_memory_eigen_failure_is_a_solver_failure(monkeypatch, tmp_path, capsys, broken):
-    # storage propagates S and K through eigh: a LinAlgError (a ValueError)
-    # or a non-finite state is a solver failure, not a configuration error
+    # the first transfer propagates S and K in the Neumann eigenbasis: a
+    # LinAlgError (a ValueError) of its eigh or a non-finite state is a solver
+    # failure, not a configuration error
     real_eigh = np.linalg.eigh
 
     def eigh(matrix):
@@ -319,7 +308,7 @@ def test_memory_eigen_failure_is_a_solver_failure(monkeypatch, tmp_path, capsys,
     ])
     captured = capsys.readouterr()
     assert code == 2
-    assert "solver failure" in captured.err and "phase 2 of 3" in captured.err
+    assert "solver failure" in captured.err and "phase 1 of 3" in captured.err
     assert "configuration error" not in captured.err
     assert "eta_mem" not in captured.out
 
@@ -443,20 +432,41 @@ assert abs(linkbudget.collected_fraction_quadrature(5e5, link)
     assert cp.returncode == 0, cp.stderr
 
 
-def test_memory_loads_scipy_only_for_the_lsoda_fallback(tmp_path):
-    """memory at its defaults under rescaled and lossless loads no scipy; the
-    paper-literal transfers, above the Taylor limit, still run on LSODA."""
+def test_benchmark_seams_resolve():
+    """Every seam that the benchmark tracer wraps (perfbench/tracing.py, read
+    as it is) resolves to a callable on the package after ``import
+    satqlink.cli``; the tracer drops a missing one from its metrics."""
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    script = f"""
+import importlib.util
+import sys
+sys.dont_write_bytecode = True
+import satqlink
+import satqlink.cli
+spec = importlib.util.spec_from_file_location("tracing", {str(tracing)!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+missing = [f"{{m}}.{{a}}" for m, a in tracing.SPAN_SEAMS + tracing.COUNTER_SEAMS
+           if not callable(getattr(getattr(satqlink, m), a, None))]
+missing += [f"{{m}}.{{ref}}.{{n}}" for m, ref, names in tracing.BOUNDARY_COUNTERS for n in names
+            if not callable(getattr(getattr(getattr(satqlink, m), ref, None), n, None))]
+assert not missing, missing
+"""
+    cp = _run_script(script)
+    assert cp.returncode == 0, cp.stderr
+
+
+def test_memory_loads_no_scipy(tmp_path):
+    """memory under every preset, and on a 600-point grid, loads no scipy."""
     script = f"""
 import sys
 from satqlink import cli
 out = {str(tmp_path)!r}
-for preset in ("rescaled", "lossless"):
-    assert cli.main(["memory", "--out", out, "--preset", preset]) == 0
+for argv in (["--preset", "rescaled"], ["--preset", "lossless"],
+             ["--preset", "paper-literal", "--samples", "3"], ["--grid", "600", "--samples", "3"]):
+    assert cli.main(["memory", "--out", out, *argv]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
-assert cli.main(["memory", "--out", out, "--preset", "paper-literal",
-                 "--grid", "16", "--samples", "3"]) == 0
-assert "scipy.integrate" in sys.modules
 """
     cp = _run_script(script)
     assert cp.returncode == 0, cp.stderr

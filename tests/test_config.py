@@ -4,13 +4,13 @@ from dataclasses import fields, replace
 import pytest
 
 from satqlink import config as cm
-from satqlink.afc import AFCParams, CavityParams, ControlPulse, EnsembleParams
+from satqlink.afc import AFCParams, CavityParams, ControlPulse
 from satqlink.config import ConfigError
 from satqlink.geometry import OrbitalConfig
 from satqlink.linkbudget import OpticalLinkParams
 from satqlink.scenario import ScenarioConfig
 from satqlink.skr import QKDParams
-from satqlink.spindyn import ProtocolSchedule, RadialGrid
+from satqlink.spindyn import EnsembleParams, ProtocolSchedule, RadialGrid
 
 REMOVED_KEYS = (
     "source_efficiency",
