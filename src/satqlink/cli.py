@@ -68,6 +68,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer flag with a lower bound; argparse names
+    the flag in the usage error, and an unparsable value is an "invalid
+    integer value"."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="satqlink", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
@@ -112,10 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_linkmap.add_argument("--range-min", type=_finite_float, default=500.0, help="km (default 500)")
     p_linkmap.add_argument("--range-max", type=_finite_float, default=2500.0, help="km (default 2500)")
-    p_linkmap.add_argument("--range-steps", type=int, default=21)
+    p_linkmap.add_argument("--range-steps", type=_int_at_least(2), default=21)
     p_linkmap.add_argument("--jitter-min", type=_finite_float, default=0.0, help="urad (default 0)")
     p_linkmap.add_argument("--jitter-max", type=_finite_float, default=5.0, help="urad (default 5)")
-    p_linkmap.add_argument("--jitter-steps", type=int, default=21)
+    p_linkmap.add_argument("--jitter-steps", type=_int_at_least(2), default=21)
 
     p_memory = sub.add_parser(
         "memory", parents=[common], help="spin-dynamics kymographs and memory efficiency"
@@ -126,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="rescaled",
         help="ensemble preset (default rescaled; paper-literal keeps the configured coupling)",
     )
-    p_memory.add_argument("--grid", type=int, default=256, help="radial points (default 256)")
+    p_memory.add_argument("--grid", type=_int_at_least(16), default=256, help="radial points (default 256)")
     p_memory.add_argument("--storage", type=_finite_float, default=463.0, help="dark interval, s")
     p_memory.add_argument(
         "--exchange-window",
@@ -137,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_memory.add_argument("--write-time", type=_finite_float, default=0.0, help="optical write window, s")
     p_memory.add_argument("--read-time", type=_finite_float, default=0.0, help="optical read window, s")
     p_memory.add_argument("--rabi", type=_finite_float, default=0.0, help="control Rabi frequency, s^-1")
-    p_memory.add_argument("--samples", type=int, default=121, help="kymograph time samples")
+    p_memory.add_argument("--samples", type=_int_at_least(2), default=121, help="kymograph time samples")
     p_memory.add_argument(
         "--profile",
         choices=INITIAL_PROFILES,
@@ -150,18 +164,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gainmap.add_argument("--elev-min", type=_finite_float, default=20.0, help="deg (default 20)")
     p_gainmap.add_argument("--elev-max", type=_finite_float, default=90.0, help="deg (default 90)")
-    p_gainmap.add_argument("--elev-steps", type=int, default=15)
+    p_gainmap.add_argument("--elev-steps", type=_int_at_least(2), default=15)
     p_gainmap.add_argument("--mem-min", type=_finite_float, default=0.1)
     p_gainmap.add_argument("--mem-max", type=_finite_float, default=1.0)
-    p_gainmap.add_argument("--mem-steps", type=int, default=19)
+    p_gainmap.add_argument("--mem-steps", type=_int_at_least(2), default=19)
 
     return parser
 
 
 def _axis(name: str, lo: float, hi: float, steps: int) -> list[float]:
-    """``steps`` evenly spaced points from lo to hi, as ``numpy.linspace`` makes them."""
-    if steps < 2:
-        raise ConfigError(f"{name}: steps must be at least 2")
+    """``steps`` (at least 2, as the parser ensures) evenly spaced points
+    from lo to hi, as ``numpy.linspace`` makes them."""
     if not lo < hi:
         raise ConfigError(f"{name}: bounds must satisfy min < max")
     step = (hi - lo) / (steps - 1)

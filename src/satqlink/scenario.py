@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import geometry, linkbudget, skr
-from .formatting import csv_float, csv_floats, table_float
+from .formatting import csv_block, csv_float, csv_floats, table_float
 from .geometry import OrbitalConfig
 from .linkbudget import OpticalLinkParams
 from .skr import QKDParams
@@ -239,13 +239,14 @@ def _grid_csv(header: str, rows: list[float], columns: list[float], grid: Grid) 
     """Long-format CSV, one line per cell in row-major order.
 
     ``rows`` and ``columns`` are the axis values as printed; each is
-    formatted once, not once per cell.
+    formatted once, not once per cell. Each grid row becomes one
+    ``csv_block`` led by its row label.
     """
     column_labels = csv_floats(columns)
-    lines = [header]
+    blocks = [header, "\n"]
     for row_label, values in zip(csv_floats(rows), grid.tolist()):
-        lines.extend(f"{row_label},{c},{v}" for c, v in zip(column_labels, csv_floats(values)))
-    return "\n".join(lines) + "\n"
+        blocks.append(csv_block(row_label, map(",".join, zip(column_labels, csv_floats(values)))))
+    return "".join(blocks)
 
 
 def linkmap_csv(range_axis_km, jitter_axis_rad, grid: Grid) -> str:

@@ -1,3 +1,5 @@
+import gzip
+import json
 import math
 import os
 import subprocess
@@ -357,6 +359,58 @@ def test_non_finite_flag_is_a_usage_error(run_cli, tmp_path, argv):
     assert "expected a finite number" in cp.stderr
     assert "RuntimeWarning" not in cp.stderr
     assert "eta_mem" not in cp.stdout
+
+
+@pytest.mark.parametrize(
+    "command, flag, low",
+    [("memory", "--grid", 16), ("memory", "--samples", 2),
+     ("linkmap", "--range-steps", 2), ("linkmap", "--jitter-steps", 2),
+     ("gainmap", "--elev-steps", 2), ("gainmap", "--mem-steps", 2)],
+)
+def test_integer_flag_below_its_bound_is_rejected_by_name(tmp_path, capsys, command, flag, low):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--out", str(tmp_path), flag, str(low - 1)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least {low}, got {low - 1}" in err
+    assert not list(tmp_path.iterdir())
+    args = cli.build_parser().parse_args([command, flag, str(low)])
+    assert getattr(args, flag[2:].replace("-", "_")) == low
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [((), "memory-rescaled-n256-s121"),
+     (("--preset", "lossless", "--samples", "301"), "memory-lossless-n256-s301"),
+     (("--grid", "64"), "memory-rescaled-n64-s121")],
+)
+def test_kymographs_match_the_recorded_references(tmp_path, capsys, argv, name):
+    """The benchmark's memory commands against their recorded kymographs:
+    the eta_mem line verbatim, times and radii to 1e-12 relative, values to
+    1e-6 absolute (they are normalised to peak 1)."""
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+    with gzip.open(reference / f"{name}.json.gz", "rt", encoding="utf-8") as handle:
+        ref = json.load(handle)
+    assert cli.main(["memory", "--out", str(tmp_path), *argv]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == ref["eta_line"]
+
+    header, *lines = (tmp_path / "kymograph.csv").read_text(encoding="utf-8").splitlines()
+    assert header == "t_seconds,r_over_R,S_norm,K_norm"
+    rows = [line.split(",") for line in lines]
+    for which, col in (("s", 2), ("k", 3)):
+        got = (tmp_path / f"kymograph_{which}.csv").read_text(encoding="utf-8").splitlines()
+        assert got == [f"t_seconds,r_over_R,{which.upper()}_norm"] + [
+            f"{r[0]},{r[1]},{r[col]}" for r in rows]
+
+    data = np.array(rows, dtype=float)
+    nt, n = len(ref["t"]), len(ref["r"])
+    assert data.shape == (nt * n, 4)
+    t, r = data[:, 0].reshape(nt, n), data[:, 1].reshape(nt, n)
+    assert np.all(t == t[:, :1]) and np.all(r == r[:1])
+    np.testing.assert_allclose(t[:, 0], ref["t"], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(r[0], ref["r"], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(data[:, 2], ref["S"], rtol=0.0, atol=1e-6)
+    np.testing.assert_allclose(data[:, 3], ref["K"], rtol=0.0, atol=1e-6)
 
 
 def test_default_artifacts_match_the_recorded_references(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -454,11 +456,7 @@ def test_kymograph_csv_schema(tmp_path):
     assert float(second[1]) > float(first[1])
 
 
-def test_kymograph_files_match_naive_reference(tmp_path):
-    g = sd.RadialGrid(R, 16)
-    res = sd.simulate_protocol(lossless(j=1.0), sd.ProtocolSchedule(dark_interval=0.37), g,
-                               time_samples=7)
-    sd.write_kymograph_csv(tmp_path, res)
+def _assert_kymograph_files_match_naive_reference(out_dir, res):
     columns = {"S_norm": res.kymograph_alkali, "K_norm": res.kymograph_noble}
     for name, picked in (("kymograph_s.csv", ("S_norm",)), ("kymograph_k.csv", ("K_norm",)),
                          ("kymograph.csv", ("S_norm", "K_norm"))):
@@ -467,7 +465,70 @@ def test_kymograph_files_match_naive_reference(tmp_path):
             for j, r in enumerate(res.radii_over_r):
                 values = [csv_float(float(columns[c][i, j])) for c in picked]
                 lines.append(",".join([csv_float(float(t)), csv_float(float(r)), *values]))
-        assert (tmp_path / name).read_bytes() == ("\n".join(lines) + "\n").encode(), name
+        assert (out_dir / name).read_bytes() == ("\n".join(lines) + "\n").encode(), name
+
+
+def test_kymograph_files_match_naive_reference(tmp_path):
+    g = sd.RadialGrid(R, 16)
+    res = sd.simulate_protocol(lossless(j=1.0), sd.ProtocolSchedule(dark_interval=0.37), g,
+                               time_samples=7)
+    sd.write_kymograph_csv(tmp_path, res)
+    _assert_kymograph_files_match_naive_reference(tmp_path, res)
+
+
+# Values whose text is easy to get wrong: both zeros (which compare equal but
+# print as 0 and -0), NaN (which compares unequal to itself), subnormals and
+# the extremes.
+_KYMO_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3.0, 1e300, 1.0, math.nan,
+                     math.inf]),
+    st.floats(),
+)
+
+
+@st.composite
+def _plateau_kymographs(draw):
+    """(S rows, K rows) built step by step: a fresh row, a repeat of the
+    row before, that row with the sign of each zero of S flipped, or that
+    row with one K node changed to a value that prints differently."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(_KYMO_VALUE, min_size=n, max_size=n)
+    s_rows, k_rows = [draw(row)], [draw(row)]
+    steps = ("fresh", "repeat", "flip zeros of S", "change one K node")
+    for step in draw(st.lists(st.sampled_from(steps), max_size=8)):
+        s, k = list(s_rows[-1]), list(k_rows[-1])
+        if step == "fresh":
+            s, k = draw(row), draw(row)
+        elif step == "flip zeros of S":
+            s = [-x if x == 0.0 else x for x in s]
+        elif step == "change one K node":
+            j = draw(st.integers(0, n - 1))
+            k[j] = draw(_KYMO_VALUE.filter(lambda v, old=csv_float(k[j]): csv_float(v) != old))
+        s_rows.append(s)
+        k_rows.append(k)
+    return s_rows, k_rows
+
+
+def _synthetic_result(s_rows, k_rows):
+    nt, n = len(s_rows), len(s_rows[0])
+    return sd.ProtocolResult(
+        times=np.linspace(0.0, 1.0, nt), radii_over_r=(np.arange(n) + 0.5) / n,
+        kymograph_alkali=np.array(s_rows, dtype=float), kymograph_noble=np.array(k_rows, dtype=float),
+        eta_mem=1.0, retrieval_time=1.0, trajectory=None,
+    )
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(kymographs=_plateau_kymographs())
+# a zero changes sign between equal-comparing rows; only K changes
+@example(kymographs=([[0.0, 1.0]] * 2 + [[-0.0, 1.0]] * 2, [[0.5, 0.5]] * 4))
+@example(kymographs=([[0.25, 1e300]] * 3, [[0.5, 5e-324], [0.5, 5e-324], [0.5, 0.0]]))
+@example(kymographs=([[math.nan]] * 3, [[2.2250738585072014e-308 / 3.0]] * 3))
+def test_kymograph_writer_reuses_plateau_rows_exactly(kymographs):
+    res = _synthetic_result(*kymographs)
+    with tempfile.TemporaryDirectory() as out:
+        sd.write_kymograph_csv(Path(out), res)
+        _assert_kymograph_files_match_naive_reference(Path(out), res)
 
 
 def test_schedule_validation():
