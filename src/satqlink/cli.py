@@ -11,13 +11,13 @@ byte-deterministic for a given configuration. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import math
 import sys
 from pathlib import Path
 
 from . import config as cfgmod
-from . import scenario as scn
 from .config import ConfigError, ENSEMBLE_PRESETS, INITIAL_PROFILES
 
 
@@ -25,8 +25,9 @@ def _lazy_submodule(name: str):
     """The package's submodule ``name``, executed on first attribute access.
 
     The module is registered in ``sys.modules`` and on the package at once,
-    so ``satqlink.spindyn`` resolves as usual, but its code (and numpy) runs
-    only when a command first uses it.
+    so ``satqlink.spindyn`` and ``satqlink.scenario`` resolve as usual, but
+    their code runs only when a command first uses them: ``memory`` loads no
+    link-budget module, and the link commands load no numpy.
     """
     fullname = f"{__package__}.{name}"
     if fullname in sys.modules:
@@ -40,6 +41,7 @@ def _lazy_submodule(name: str):
     return module
 
 
+scn = _lazy_submodule("scenario")
 spindyn = _lazy_submodule("spindyn")
 
 EXIT_OK = 0
@@ -270,5 +272,20 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
 
+def entry() -> int:
+    """Process entry of ``python -m satqlink`` and the ``satqlink`` script:
+    :func:`main`'s exit code (a usage error's included), with the heap frozen
+    on the way out so the collections at shutdown skip the import heap.
+    Reference counting still frees objects, and every artifact is closed by
+    then. ``main`` never freezes, because the tests call it in-process.
+    """
+    try:
+        return main()
+    except SystemExit as exc:
+        return exc.code
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

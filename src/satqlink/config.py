@@ -17,12 +17,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .formatting import config_value
-from .geometry import OrbitalConfig
-from .linkbudget import OpticalLinkParams
-from .scenario import ScenarioConfig
 from .skr import CALIBRATED_QBER, QKDParams
 
 if TYPE_CHECKING:
+    from .scenario import ScenarioConfig
     from .spindyn import EnsembleParams
 
 __all__ = [
@@ -201,6 +199,12 @@ def ensemble_params(cfg: RunConfig, preset: str) -> EnsembleParams:
 
 
 def scenario_config(cfg: RunConfig) -> ScenarioConfig:
+    """The link-budget packs; like :func:`ensemble_params`, the modules that
+    define them load when called, so ``memory`` never imports them."""
+    from .geometry import OrbitalConfig
+    from .linkbudget import OpticalLinkParams
+    from .scenario import ScenarioConfig
+
     return ScenarioConfig(
         orbit=OrbitalConfig(
             earth_radius=cfg.earth_radius_km,

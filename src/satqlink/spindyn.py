@@ -722,7 +722,9 @@ def integrate(
                 )
             continue
         inside = requested[(requested > t0 + 1e-15 * max(t1, 1.0)) & (requested < t1 - 1e-15 * max(t1, 1.0))]
-        t_eval = np.unique(np.concatenate((inside, [t1])))
+        # sorted and distinct, as np.unique gives them without loading numpy.ma
+        t_eval = np.sort(np.append(inside, t1))
+        t_eval = t_eval[np.append(t_eval[:-1] != t_eval[1:], True)]
         where = f"phase {index + 1} of {len(phases)} (t = {t0:g} to {t1:g} s)"
         block = _propagate(a, grid, y, t0, t_eval, where, bases)
         times.extend(t_eval)

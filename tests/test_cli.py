@@ -452,13 +452,17 @@ def test_link_commands_load_no_scipy(tmp_path):
     """scenario, linkmap and gainmap go without importing numpy or scipy;
     satqlink.spindyn resolves on the package from the start, and numpy is
     loaded once memory runs through that module. A short memory run loads
-    no scipy; the quadrature reference, which needs it, still works after."""
+    no scipy; the quadrature reference, which needs it, still works after.
+    In-process ``main`` calls leave the heap unfrozen; the process entry
+    returns a usage error's exit code and freezes it."""
     script = f"""
+import gc
 import sys
 import types
 import satqlink
 assert "numpy" not in sys.modules
 from satqlink import cli, linkbudget
+frozen = gc.get_freeze_count()
 lazy = satqlink.spindyn
 assert isinstance(lazy, types.ModuleType)
 assert sys.modules["satqlink.spindyn"] is lazy and cli.spindyn is lazy
@@ -481,6 +485,11 @@ assert not loaded, loaded
 link = linkbudget.OpticalLinkParams()
 assert abs(linkbudget.collected_fraction_quadrature(5e5, link)
            - linkbudget.collected_fraction(5e5, link)) < 1e-6
+# only the process entry freezes the heap, never an in-process main
+assert gc.get_freeze_count() == frozen
+sys.argv = ["satqlink", "memory", "--grid", "1", "--out", out]
+assert cli.entry() == 1
+assert gc.get_freeze_count() > frozen
 """
     cp = _run_script(script)
     assert cp.returncode == 0, cp.stderr
@@ -511,9 +520,12 @@ assert not missing, missing
 
 
 def test_memory_loads_no_scipy(tmp_path):
-    """memory under every preset, and on a 600-point grid, loads no scipy."""
+    """memory under every preset, and on a 600-point grid, loads no scipy,
+    no numpy.ma and no link-budget module; satqlink.scenario stays an
+    unexecuted lazy module until a link command runs, and then resolves."""
     script = f"""
 import sys
+import types
 from satqlink import cli
 out = {str(tmp_path)!r}
 for argv in (["--preset", "rescaled"], ["--preset", "lossless"],
@@ -521,6 +533,16 @@ for argv in (["--preset", "rescaled"], ["--preset", "lossless"],
     assert cli.main(["memory", "--out", out, *argv]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
+# a lazy module is a ModuleType subclass until its code has run
+link = ("numpy.ma", "satqlink.scenario", "satqlink.linkbudget", "satqlink.geometry", "satqlink.afc")
+loaded = [m for m in link if type(sys.modules.get(m)) is types.ModuleType]
+assert not loaded, loaded
+lazy = sys.modules["satqlink.scenario"]
+assert cli.scn is lazy
+for argv in (["scenario"], ["linkmap"]):
+    assert cli.main([*argv, "--out", out]) == 0
+assert type(lazy) is types.ModuleType and lazy.ScenarioConfig
+assert sys.modules["satqlink.scenario"] is lazy and "satqlink.linkbudget" in sys.modules
 """
     cp = _run_script(script)
     assert cp.returncode == 0, cp.stderr

@@ -192,14 +192,19 @@ def test_exchange_rabi_oscillation():
     g = sd.RadialGrid(R, 32)
     ens = lossless(j=1.0)
     sched = sd.ProtocolSchedule(dark_interval=0.0)  # two windows of pi/2 each
-    samples = np.linspace(0.0, math.pi, 81)
-    traj = sd.integrate(sd.initial_state(g), sched, ens, g, sample_times=samples)
-    norm_k = np.array([g.volume_norm_sq(traj.noble[i]) for i in range(len(traj.times))])
-    assert np.max(np.abs(norm_k - np.sin(traj.times) ** 2)) < 1e-3
-    i_half = int(np.argmin(np.abs(traj.times - math.pi / 2)))
-    assert norm_k[i_half] == pytest.approx(1.0, abs=1e-4)
-    # back in the alkali mode after the full period
-    assert g.volume_norm_sq(traj.alkali[-1]) == pytest.approx(1.0, abs=1e-3)
+    boundaries = [0.0, math.pi / 2, math.pi]
+    # the second set is unsorted, repeats times and names every phase boundary
+    for samples in (np.linspace(0.0, math.pi, 81),
+                    np.array([2.0, 0.3, math.pi / 2, 1.0, 0.3, math.pi, 0.0, 2.5, 1.0, math.pi / 2])):
+        traj = sd.integrate(sd.initial_state(g), sched, ens, g, sample_times=samples)
+        assert np.all(np.diff(traj.times) > 0.0)
+        assert np.array_equal(traj.times, np.unique(np.concatenate((samples, boundaries))))
+        norm_k = np.array([g.volume_norm_sq(traj.noble[i]) for i in range(len(traj.times))])
+        assert np.max(np.abs(norm_k - np.sin(traj.times) ** 2)) < 1e-3
+        i_half = int(np.argmin(np.abs(traj.times - math.pi / 2)))
+        assert norm_k[i_half] == pytest.approx(1.0, abs=1e-4)
+        # back in the alkali mode after the full period
+        assert g.volume_norm_sq(traj.alkali[-1]) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_three_field_norm_conservation():
