@@ -1,9 +1,7 @@
 """Analytic model of a cavity-coupled alkali / noble-gas comb memory.
 
 Comb frequencies (bandwidth, tooth spacing, tooth width) are stored in
-ordinary Hz. The re-emission delay formula treats the tooth spacing as an
-angular rate; that convention enters in exactly one place,
-``comb_rephasing_time``.
+ordinary Hz.
 """
 
 from __future__ import annotations
@@ -18,19 +16,11 @@ if TYPE_CHECKING:
 
 __all__ = [
     "AFCParams",
-    "CavityParams",
     "ControlPulse",
     "finesse",
     "multimode_capacity",
-    "reflection_coefficient",
-    "absorbed_fraction",
-    "optical_to_spin_efficiency",
-    "exchange_transfer_efficiency",
     "comb_dephasing_factor",
     "total_memory_efficiency",
-    "comb_rephasing_time",
-    "echo_time",
-    "multimode_success",
 ]
 
 
@@ -54,20 +44,6 @@ class AFCParams:
                 "lifetime broadening will wash out the comb",
                 stacklevel=2,
             )
-
-
-@dataclass(frozen=True)
-class CavityParams:
-    """Single-ended cavity: decay rate kappa and lumped ensemble coupling."""
-
-    cavity_decay: float
-    ensemble_coupling: float
-
-    def __post_init__(self):
-        if not self.cavity_decay > 0.0:
-            raise ValueError("cavity_decay must be positive")
-        if not self.ensemble_coupling >= 0.0:
-            raise ValueError("ensemble_coupling must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -99,42 +75,6 @@ def multimode_capacity(total_bandwidth: float, tooth_spacing: float) -> int:
     return math.floor(2.0 * total_bandwidth / (5.0 * tooth_spacing))
 
 
-def reflection_coefficient(cavity: CavityParams) -> float:
-    """Field reflection (kappa - Z) / (kappa + Z); zero at impedance matching."""
-    kappa = cavity.cavity_decay
-    z = cavity.ensemble_coupling
-    return (kappa - z) / (kappa + z)
-
-
-def absorbed_fraction(cavity: CavityParams) -> float:
-    """Input power fraction absorbed by the impedance-matched cavity: 1 - r^2."""
-    r = reflection_coefficient(cavity)
-    return 1.0 - r * r
-
-
-def optical_to_spin_efficiency(pulse: ControlPulse, total_bandwidth: float) -> float:
-    """Optical-to-alkali transfer 1 - exp(-pi T Omega^2 / Gamma) for one chirped pulse."""
-    if total_bandwidth <= 0.0:
-        raise ValueError("total_bandwidth must be positive")
-    arg = math.pi * pulse.duration * pulse.rabi_frequency ** 2 / total_bandwidth
-    return 1.0 - math.exp(-arg)
-
-
-def exchange_transfer_efficiency(alkali_decay: float, exchange_coupling: float) -> float:
-    """Alkali-to-noble transfer exp(-pi gamma_s / (2 J)).
-
-    A vanishing coupling means there is no transfer channel, so J = 0
-    returns 0 rather than dividing.
-    """
-    if alkali_decay < 0.0:
-        raise ValueError("alkali_decay must be non-negative")
-    if exchange_coupling < 0.0:
-        raise ValueError("exchange_coupling must be non-negative")
-    if exchange_coupling == 0.0:
-        return 0.0
-    return math.exp(-math.pi * alkali_decay / (2.0 * exchange_coupling))
-
-
 def comb_dephasing_factor(finesse_value: float) -> float:
     """Comb dephasing loss sinc^2(pi / F); approaches 1 for a sharp comb."""
     if finesse_value <= 0.0:
@@ -151,9 +91,10 @@ def total_memory_efficiency(pulse: ControlPulse, ens: EnsembleParams, afc: AFCPa
 
         [1 - exp(-pi^2 T Omega^2 / Gamma)]^2 * exp(-pi gamma_s / J) * sinc^2(pi / F)
 
-    The optical exponent here carries pi^2 and the spin exponent pi/J,
-    whereas the per-step helpers use pi and pi/(2J); both conventions are
-    kept deliberately rather than unified.
+    The spin factor is the square of one transfer's exp(-pi gamma_s / (2 J)),
+    for the write and the read. The optical exponent carries pi^2, where one
+    chirped transfer 1 - exp(-pi T Omega^2 / Gamma) carries pi; the closed
+    form is kept as the source states it.
     """
     if ens.exchange_coupling == 0.0:
         return 0.0
@@ -161,32 +102,3 @@ def total_memory_efficiency(pulse: ControlPulse, ens: EnsembleParams, afc: AFCPa
     optical = (1.0 - math.exp(-optical_arg)) ** 2
     spin = math.exp(-math.pi * ens.alkali_decay / ens.exchange_coupling)
     return optical * spin * comb_dephasing_factor(finesse(afc))
-
-
-def comb_rephasing_time(tooth_spacing: float) -> float:
-    """Fixed comb re-emission delay 2*pi / tooth_spacing.
-
-    The stored tooth spacing (Hz) is used directly under the 2*pi, i.e. it
-    is read as an angular rate here. This is the one site where that
-    convention applies; every other formula consumes ordinary Hz.
-    """
-    if tooth_spacing <= 0.0:
-        raise ValueError("tooth_spacing must be positive")
-    return 2.0 * math.pi / tooth_spacing
-
-
-def echo_time(pulse: ControlPulse, tooth_spacing: float) -> float:
-    """Total input-to-echo delay 2*T' + 2*T + comb rephasing time."""
-    return 2.0 * pulse.exchange_duration + 2.0 * pulse.duration + comb_rephasing_time(tooth_spacing)
-
-
-def multimode_success(per_mode_probability: float, mode_count: int) -> float:
-    """Probability of at least one success among mode_count parallel modes.
-
-    Exact expression 1 - (1 - P)^N, not the small-P linearisation.
-    """
-    if not 0.0 <= per_mode_probability <= 1.0:
-        raise ValueError("per_mode_probability must lie in [0, 1]")
-    if mode_count < 1:
-        raise ValueError("mode_count must be at least 1")
-    return 1.0 - (1.0 - per_mode_probability) ** mode_count

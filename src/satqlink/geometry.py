@@ -17,7 +17,6 @@ __all__ = [
     "elevation",
     "slant_range_from_elevation",
     "elevation_from_slant_range",
-    "ground_track_separation",
     "orbital_period",
     "buffer_time",
 ]
@@ -116,18 +115,6 @@ def elevation_from_slant_range(l: float, orbit: OrbitalConfig) -> float:
         raise ValueError(f"slant range {l} km is outside the visible pass")
     arg = max(0.0, min(1.0, arg))
     return math.asin(arg)
-
-
-def ground_track_separation(l: float, orbit: OrbitalConfig) -> float:
-    """Ground-track separation (km) that produces slant range l (km)."""
-    r_e = orbit.earth_radius
-    r_s = orbit.orbit_radius
-    arg = (r_e * r_e + r_s * r_s - l * l) / (2.0 * r_e * r_s)
-    if not -1.0 <= arg <= 1.0:
-        if abs(arg) > 1.0 + _ASIN_TOL:
-            raise ValueError(f"slant range {l} km is geometrically unreachable")
-        arg = max(-1.0, min(1.0, arg))
-    return r_e * math.acos(arg)
 
 
 def orbital_period(orbit: OrbitalConfig) -> float:

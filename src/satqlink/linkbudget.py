@@ -21,9 +21,7 @@ __all__ = [
     "OpticalLinkParams",
     "atmospheric_transmission",
     "beam_radius",
-    "effective_spot_sigma",
     "collected_fraction",
-    "collected_fraction_quadrature",
     "link_efficiency_row",
     "single_link_efficiency",
 ]
@@ -81,17 +79,6 @@ def beam_radius(z: float, params: OpticalLinkParams) -> float:
     return math.hypot(params.beam_waist, params.divergence_half_angle * z)
 
 
-def effective_spot_sigma(z: float, params: OpticalLinkParams) -> float:
-    """Per-axis spread (m) of the jitter-broadened spot at range z (m).
-
-    The beam intensity has per-axis std w(z)/2; the jitter kernel adds a
-    displacement std of pointing_jitter_rms * z in quadrature.
-    """
-    if not (z > 0.0):
-        raise ValueError("range must be positive")
-    return math.hypot(beam_radius(z, params) / 2.0, params.pointing_jitter_rms * z)
-
-
 def _collected_row(scale: float, l: float, params: OpticalLinkParams, jitters) -> list[float]:
     """scale times the collected fraction at range l (m), one value per jitter (rad).
 
@@ -110,53 +97,6 @@ def _collected_row(scale: float, l: float, params: OpticalLinkParams, jitters) -
 def collected_fraction(l: float, params: OpticalLinkParams) -> float:
     """Fraction of transmitted power collected by the receiver pupil at range l (m)."""
     return _collected_row(1.0, l, params, (params.pointing_jitter_rms,))[0]
-
-
-def collected_fraction_quadrature(l: float, params: OpticalLinkParams) -> float:
-    """Reference value of ``collected_fraction`` by adaptive polar quadrature.
-
-    Numerically convolves the propagated beam intensity with the jitter
-    kernel (angular part via the modified Bessel identity, radial parts via
-    adaptive quadrature) and integrates over the pupil. Slow by design; it
-    exists to cross-check the closed form and is exercised by the tests.
-    Scalar range only. It is the one caller of scipy in the link budget, and
-    imports it here so that the link-budget commands never load scipy.
-    """
-    from scipy.integrate import quad
-    from scipy.special import i0e
-
-    w = beam_radius(l, params)
-    sigma_j = params.pointing_jitter_rms * l
-    peak = 2.0 / (math.pi * w * w)  # unit total power
-
-    def beam(r):
-        return peak * math.exp(-2.0 * r * r / (w * w))
-
-    if sigma_j == 0.0:
-        def smeared(rho):
-            return beam(rho)
-    else:
-        s2 = sigma_j * sigma_j
-        r_max = 5.0 * w  # beam intensity is ~1e-21 of peak beyond this
-
-        def smeared(rho):
-            def kernel(rp):
-                gauss = math.exp(-((rho - rp) ** 2) / (2.0 * s2))
-                bessel = i0e(rho * rp / s2)
-                return rp * beam(rp) * gauss * bessel / s2
-
-            value, _ = quad(kernel, 0.0, r_max, epsabs=1e-12, epsrel=1e-10, limit=200)
-            return value
-
-    power, _ = quad(
-        lambda rho: 2.0 * math.pi * rho * smeared(rho),
-        0.0,
-        params.receiver_radius,
-        epsabs=1e-10,
-        epsrel=1e-9,
-        limit=200,
-    )
-    return power
 
 
 def link_efficiency_row(theta: float, l: float, params: OpticalLinkParams, jitters) -> list[float]:

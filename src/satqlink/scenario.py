@@ -24,7 +24,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioResult",
     "Grid",
-    "improvement_factor",
     "compare_scenarios",
     "downlink_probability_map",
     "gain_map",
@@ -85,11 +84,6 @@ def _dual_arm(cfg: ScenarioConfig) -> float:
     if arm * arm == 0.0:
         raise ValueError("dual-downlink probability is zero; gain undefined")
     return arm
-
-
-def improvement_factor(cfg: ScenarioConfig) -> float:
-    """Buffered over dual success probability (equals the rate ratio)."""
-    return compare_scenarios(cfg).gain
 
 
 def compare_scenarios(cfg: ScenarioConfig) -> ScenarioResult:

@@ -35,9 +35,8 @@ else. A full three-field mode is available by giving ``integrate`` an
 initial state with optical amplitude and a schedule with non-zero control
 windows.
 
-The propagators need numpy only. LSODA (``scipy.integrate``, imported on
-its first call) steps the same operators as the reference that the tests
-hold them to; no protocol run calls it.
+The propagators need numpy only. The tests hold them to an LSODA reference
+that steps the same operators (``tests/references.py``).
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ __all__ = [
     "Trajectory",
     "ProtocolResult",
     "radial_laplacian",
-    "rhs",
     "initial_state",
     "integrate",
     "simulate_protocol",
@@ -78,25 +76,14 @@ __all__ = [
 _TALBOT_NODES = 32
 _CONTOUR_SPAN = 1.5
 
-# Right-hand-side evaluations one LSODA phase may take: about 20x the largest
-# phase of a legitimate run, so that a runaway phase fails instead of never
-# ending.
-_MAX_RHS_PER_PHASE = 200_000
-
-# LSODA tolerances of every phase it steps. At these values the short phases
-# of the rescaled default protocol, stepped by LSODA alone, gave an eta within
-# 2.1e-10 of a tight explicit Runge-Kutta reference (rtol 1e-12). They are
-# not that close everywhere: after a full paper-literal transfer at n = 16,
-# LSODA here is 3.2e-8 off a 40-digit expm, so a test comparing the modal
-# propagators against LSODA tightens them to 1e-12 / 1e-14.
-_RTOL = 1e-10
-_ATOL = 1e-12
-
+# A phase that rounds away in its start time is skipped when exp(duration A)
+# moves the state by at most this fraction of its norm; a phase that would
+# move it further is an error.
+_NEGLIGIBLE_PHASE = 1e-10
 
 class SolverFailure(RuntimeError):
-    """A phase propagator failed: a linear-algebra routine did not converge, a
-    phase ended in a non-finite state, or LSODA missed its tolerances or spent
-    its evaluation budget."""
+    """A phase propagator failed: a linear-algebra routine did not converge or
+    a phase ended in a non-finite state."""
 
 
 @dataclass(frozen=True)
@@ -154,10 +141,6 @@ class RadialGrid:
         self.nodes = 0.5 * (self.faces[:-1] + self.faces[1:])
         self.shell_volumes = np.diff(self.faces ** 3) / 3.0
 
-    def volume_integral(self, field: np.ndarray) -> complex:
-        """Integral of field * r^2 dr over the cell."""
-        return complex(np.dot(self.shell_volumes, field))
-
     def volume_norm_sq(self, field: np.ndarray) -> float:
         """Integral of |field|^2 r^2 dr over the cell."""
         return float(np.dot(self.shell_volumes, np.abs(field) ** 2))
@@ -204,14 +187,6 @@ class SpinFieldState:
         if len(self.optical) != n or len(self.noble) != n:
             raise ValueError("field arrays must share one length")
 
-    def total_norm_sq(self, grid: RadialGrid) -> float:
-        """Volume-weighted norm |P|^2 + |S|^2 + |K|^2."""
-        return (
-            grid.volume_norm_sq(self.optical)
-            + grid.volume_norm_sq(self.alkali)
-            + grid.volume_norm_sq(self.noble)
-        )
-
 
 @dataclass(frozen=True)
 class ProtocolSchedule:
@@ -255,13 +230,6 @@ class Trajectory:
     alkali: np.ndarray    # (nt, nr)
     noble: np.ndarray     # (nt, nr)
 
-    def state_at(self, index: int) -> SpinFieldState:
-        return SpinFieldState(
-            optical=self.optical[index],
-            alkali=self.alkali[index],
-            noble=self.noble[index],
-        )
-
 
 @dataclass(frozen=True)
 class ProtocolResult:
@@ -274,42 +242,6 @@ class ProtocolResult:
     eta_mem: float
     retrieval_time: float
     trajectory: Trajectory
-
-
-def rhs(
-    state: SpinFieldState,
-    ens: EnsembleParams,
-    grid: RadialGrid,
-    control_rabi: float = 0.0,
-    exchange_coupling: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Time derivatives (dP, dS, dK) of the coupled field equations.
-
-    dP = -gamma_p P + i Omega S
-    dS = -(gamma_s + i delta_s) S + D_a lap(S) + i Omega P - i J K
-    dK = -(gamma_k + i delta_k) K + D_b lap(K) - i J S
-
-    with a Dirichlet wall for S and a Neumann wall for K. The control Rabi
-    frequency is taken real; ``exchange_coupling`` overrides the ensemble
-    value so schedule phases can switch the exchange off (pass 0.0).
-    Absorption enters as the initial condition, not as a drive term. The
-    solver integrates the same equations as one assembled operator per
-    phase; this function is their reference form.
-    """
-    j = ens.exchange_coupling if exchange_coupling is None else exchange_coupling
-    p, s, k = state.optical, state.alkali, state.noble
-    dp = -ens.optical_decay * p + 1j * control_rabi * s
-    ds = (
-        -(ens.alkali_decay + 1j * ens.alkali_detuning) * s
-        + 1j * control_rabi * p
-        - 1j * j * k
-    )
-    dk = -(ens.noble_decay + 1j * ens.noble_detuning) * k - 1j * j * s
-    if ens.alkali_diffusion != 0.0:
-        ds = ds + ens.alkali_diffusion * radial_laplacian(s, grid, "dirichlet")
-    if ens.noble_diffusion != 0.0:
-        dk = dk + ens.noble_diffusion * radial_laplacian(k, grid, "neumann")
-    return dp, ds, dk
 
 
 def initial_state(grid: RadialGrid, profile: str = "uniform") -> SpinFieldState:
@@ -378,7 +310,16 @@ class _Operator:
 def _phase_operator(ens, grid, control_rabi, exchange_coupling) -> _Operator:
     """The operator of one phase on the state (P, S, K) node by node.
 
-    Implements the equations of ``rhs``: field 0 is P, 1 is S and 2 is K.
+    Field 0 is P, 1 is S and 2 is K, and y' = A y are the coupled equations
+
+    dP = -gamma_p P + i Omega S
+    dS = -(gamma_s + i delta_s) S + D_a lap(S) + i Omega P - i J K
+    dK = -(gamma_k + i delta_k) K + D_b lap(K) - i J S
+
+    with a Dirichlet wall for S and a Neumann wall for K (``radial_laplacian``).
+    The control Rabi frequency is taken real; ``exchange_coupling`` is the
+    phase's J, 0.0 when the exchange is off. Absorption enters as the
+    initial condition, not as a drive term.
     """
     i_omega, i_j = 1j * control_rabi, 1j * exchange_coupling
     local = np.array([
@@ -564,62 +505,15 @@ def _group_propagate(op: _Operator, grid: RadialGrid, y: np.ndarray, taus: np.nd
     return np.tensordot(frames, q, axes=(1, 1)).transpose(0, 2, 1) / root
 
 
-def _real_band(op: _Operator) -> tuple[np.ndarray, int]:
-    """Real form of A on the interleaved state, in the packed banded layout of
-    LSODA, and its half bandwidth: the stencils couple complex indices g
-    apart, that is 2 g reals, plus one for the real/imaginary pair."""
-    n, g = op.diag.shape
-    half = 2 * g + 1
-    index = np.arange(n * g).reshape(n, g)
-    blocks = op.local + op.diag[:, :, None] * np.eye(g)  # (n, g, g) per-node blocks
-    rows = 2 * np.concatenate((np.repeat(index, g, axis=1).ravel(), index[1:].ravel(), index[:-1].ravel()))
-    cols = 2 * np.concatenate((np.tile(index, g).ravel(), index[:-1].ravel(), index[1:].ravel()))
-    values = np.concatenate((blocks.ravel(), op.lower.ravel(), op.upper.ravel()))
-    band = np.zeros((2 * half + 1, 2 * n * g))
-    for dr, dc, part in ((0, 0, values.real), (0, 1, -values.imag),
-                         (1, 0, values.imag), (1, 1, values.real)):
-        band[half + (rows + dr) - (cols + dc), cols + dc] = part
-    return band, half
-
-
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on the first call.
 
-    The LSODA fallback calls the solver through this module attribute, so
-    that it can be replaced from outside (the tests force solver failures
-    this way).
+    No protocol run calls it. The tests' LSODA reference steps through this
+    module attribute, and the benchmark tracer wraps it.
     """
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(*args, **kwargs)
-
-
-def _lsoda_propagate(op: _Operator, y: np.ndarray, t0: float, t_eval: np.ndarray, where: str) -> np.ndarray:
-    """The state at every time of ``t_eval`` (the last one ends the phase that
-    starts at ``t0``), stepped by LSODA at ``_RTOL``/``_ATOL``."""
-    n, g = y.shape
-    band, half = _real_band(op)
-    evals = 0
-
-    def fun(t, v):
-        nonlocal evals
-        evals += 1
-        if evals > _MAX_RHS_PER_PHASE:
-            raise SolverFailure(
-                f"{where} exceeded {_MAX_RHS_PER_PHASE} right-hand-side evaluations; "
-                f"stopped at t = {t:g} s"
-            )
-        return (op @ v.view(np.complex128).reshape(n, g)).ravel().view(np.float64)
-
-    sol = solve_ivp(fun, (t0, t_eval[-1]), y.ravel().view(np.float64), method="LSODA",
-                    t_eval=t_eval, rtol=_RTOL, atol=_ATOL, jac=lambda t, v: band,
-                    lband=half, uband=half)
-    if not sol.success:
-        raise SolverFailure(
-            f"time integration failed in {where}; nfev={sol.nfev}, njev={sol.njev}, "
-            f"nlu={sol.nlu}: {sol.message}"
-        )
-    return sol.y.T.copy().view(np.complex128).reshape(len(t_eval), n, g)
 
 
 def _propagate(op: _Operator, grid: RadialGrid, y: np.ndarray, t0: float,
@@ -715,7 +609,7 @@ def integrate(
         a = _phase_operator(ens, grid, omega, j_value)
         if t1 == t0:
             # exp(duration A) moves the state by at most about ||A||_1 duration.
-            if duration * a.norm1() > _RTOL:
+            if duration * a.norm1() > _NEGLIGIBLE_PHASE:
                 raise ValueError(
                     f"phase {index + 1} of {len(phases)} ({duration:g} s) is shorter than "
                     f"the time resolution at t = {t0:g} s"

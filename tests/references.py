@@ -1,0 +1,147 @@
+"""Numerical references that the tests hold the closed forms to.
+
+Both are slow by design and need scipy, which no command loads:
+
+- ``rhs`` and ``lsoda_propagate`` step the coupled field equations with
+  LSODA, against which the exact modal propagators of ``satqlink.spindyn``
+  are checked;
+- ``collected_fraction_quadrature`` integrates the jitter-broadened beam
+  over the receiver pupil, against which ``linkbudget.collected_fraction``
+  is checked (acceptance criterion 06).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.integrate import quad
+from scipy.special import i0e
+
+from satqlink import spindyn as sd
+from satqlink.linkbudget import OpticalLinkParams, beam_radius
+from satqlink.spindyn import EnsembleParams, RadialGrid, SpinFieldState
+
+# Right-hand-side evaluations one LSODA phase may take: about 20x the largest
+# phase of a legitimate run, so that a runaway phase fails instead of never
+# ending.
+MAX_RHS_PER_PHASE = 200_000
+
+
+def rhs(
+    state: SpinFieldState,
+    ens: EnsembleParams,
+    grid: RadialGrid,
+    control_rabi: float = 0.0,
+    exchange_coupling: float | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Time derivatives (dP, dS, dK) of the coupled field equations of
+    ``spindyn._phase_operator``, written out field by field.
+
+    ``exchange_coupling`` overrides the ensemble value so that a phase can
+    switch the exchange off (pass 0.0).
+    """
+    j = ens.exchange_coupling if exchange_coupling is None else exchange_coupling
+    p, s, k = state.optical, state.alkali, state.noble
+    dp = -ens.optical_decay * p + 1j * control_rabi * s
+    ds = (
+        -(ens.alkali_decay + 1j * ens.alkali_detuning) * s
+        + 1j * control_rabi * p
+        - 1j * j * k
+    )
+    dk = -(ens.noble_decay + 1j * ens.noble_detuning) * k - 1j * j * s
+    if ens.alkali_diffusion != 0.0:
+        ds = ds + ens.alkali_diffusion * sd.radial_laplacian(s, grid, "dirichlet")
+    if ens.noble_diffusion != 0.0:
+        dk = dk + ens.noble_diffusion * sd.radial_laplacian(k, grid, "neumann")
+    return dp, ds, dk
+
+
+def real_band(op) -> tuple[np.ndarray, int]:
+    """Real form of a phase operator A on the interleaved state, in the packed
+    banded layout of LSODA, and its half bandwidth: the stencils couple
+    complex indices g apart, that is 2 g reals, plus one for the
+    real/imaginary pair."""
+    n, g = op.diag.shape
+    half = 2 * g + 1
+    index = np.arange(n * g).reshape(n, g)
+    blocks = op.local + op.diag[:, :, None] * np.eye(g)  # (n, g, g) per-node blocks
+    rows = 2 * np.concatenate((np.repeat(index, g, axis=1).ravel(), index[1:].ravel(), index[:-1].ravel()))
+    cols = 2 * np.concatenate((np.tile(index, g).ravel(), index[:-1].ravel(), index[1:].ravel()))
+    values = np.concatenate((blocks.ravel(), op.lower.ravel(), op.upper.ravel()))
+    band = np.zeros((2 * half + 1, 2 * n * g))
+    for dr, dc, part in ((0, 0, values.real), (0, 1, -values.imag),
+                         (1, 0, values.imag), (1, 1, values.real)):
+        band[half + (rows + dr) - (cols + dc), cols + dc] = part
+    return band, half
+
+
+def lsoda_propagate(op, y: np.ndarray, t0: float, t_eval: np.ndarray,
+                    rtol: float, atol: float) -> np.ndarray:
+    """The state at every time of ``t_eval`` (the last one ends the phase that
+    starts at ``t0``), stepped by LSODA at ``rtol``/``atol``.
+
+    At rtol 1e-10 / atol 1e-12, a full paper-literal transfer at n = 16 is
+    3.2e-8 off a 40-digit expm, so a comparison with the exact propagators
+    runs at 1e-12 / 1e-14.
+    """
+    n, g = y.shape
+    band, half = real_band(op)
+    evals = 0
+
+    def fun(t, v):
+        nonlocal evals
+        evals += 1
+        if evals > MAX_RHS_PER_PHASE:
+            raise RuntimeError(
+                f"LSODA exceeded {MAX_RHS_PER_PHASE} right-hand-side evaluations; "
+                f"stopped at t = {t:g} s"
+            )
+        return (op @ v.view(np.complex128).reshape(n, g)).ravel().view(np.float64)
+
+    sol = sd.solve_ivp(fun, (t0, t_eval[-1]), y.ravel().view(np.float64), method="LSODA",
+                       t_eval=t_eval, rtol=rtol, atol=atol, jac=lambda t, v: band,
+                       lband=half, uband=half)
+    assert sol.success, f"LSODA failed; nfev={sol.nfev}: {sol.message}"
+    return sol.y.T.copy().view(np.complex128).reshape(len(t_eval), n, g)
+
+
+def collected_fraction_quadrature(l: float, params: OpticalLinkParams) -> float:
+    """Reference value of ``collected_fraction`` by adaptive polar quadrature.
+
+    Numerically convolves the propagated beam intensity with the jitter
+    kernel (angular part via the modified Bessel identity, radial parts via
+    adaptive quadrature) and integrates over the pupil. Scalar range only.
+    """
+    w = beam_radius(l, params)
+    sigma_j = params.pointing_jitter_rms * l
+    peak = 2.0 / (math.pi * w * w)  # unit total power
+
+    def beam(r):
+        return peak * math.exp(-2.0 * r * r / (w * w))
+
+    if sigma_j == 0.0:
+        def smeared(rho):
+            return beam(rho)
+    else:
+        s2 = sigma_j * sigma_j
+        r_max = 5.0 * w  # beam intensity is ~1e-21 of peak beyond this
+
+        def smeared(rho):
+            def kernel(rp):
+                gauss = math.exp(-((rho - rp) ** 2) / (2.0 * s2))
+                bessel = i0e(rho * rp / s2)
+                return rp * beam(rp) * gauss * bessel / s2
+
+            value, _ = quad(kernel, 0.0, r_max, epsabs=1e-12, epsrel=1e-10, limit=200)
+            return value
+
+    power, _ = quad(
+        lambda rho: 2.0 * math.pi * rho * smeared(rho),
+        0.0,
+        params.receiver_radius,
+        epsabs=1e-10,
+        epsrel=1e-9,
+        limit=200,
+    )
+    return power

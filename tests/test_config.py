@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import pytest
 
 from satqlink import config as cm
-from satqlink.afc import AFCParams, CavityParams, ControlPulse
+from satqlink.afc import AFCParams, ControlPulse
 from satqlink.config import ConfigError
 from satqlink.geometry import OrbitalConfig
 from satqlink.linkbudget import OpticalLinkParams
@@ -182,7 +182,6 @@ _DOMAIN_CLASSES = {
     QKDParams: {},
     AFCParams: {},
     EnsembleParams: {},
-    CavityParams: {"cavity_decay": 1.0, "ensemble_coupling": 1.0},
     ControlPulse: {},
     ScenarioConfig: {},
     ProtocolSchedule: {},

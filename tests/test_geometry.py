@@ -35,24 +35,18 @@ def test_slant_range_from_elevation_closed_form():
 
 def test_closed_form_matches_bisection_through_forward_equations():
     # independent route: bisect the ground-track separation until the
-    # forward elevation formula returns 20 deg, then compare slant ranges
-    target = math.radians(20.0)
-    lo, hi = 1.0, 3000.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if geo.elevation(mid, ORBIT) > target:
-            lo = mid
-        else:
-            hi = mid
-    l_forward = geo.slant_range(0.5 * (lo + hi), ORBIT)
-    assert geo.slant_range_from_elevation(target, ORBIT) == pytest.approx(l_forward, rel=1e-9)
-
-
-def test_round_trip_elevation_recovery():
-    for theta in np.linspace(0.01, math.pi / 2, 40):
-        l = geo.slant_range_from_elevation(float(theta), ORBIT)
-        lg = geo.ground_track_separation(l, ORBIT)
-        assert geo.elevation(lg, ORBIT) == pytest.approx(float(theta), abs=1e-9)
+    # forward elevation formula returns the target, then compare slant
+    # ranges; from the horizon up to zenith, where lo = 0 is the answer
+    for target in (math.radians(20.0), *np.linspace(0.01, math.pi / 2, 40)):
+        lo, hi = 0.0, 3000.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if geo.elevation(mid, ORBIT) > target:
+                lo = mid
+            else:
+                hi = mid
+        l_forward = geo.slant_range(0.5 * (lo + hi), ORBIT)
+        assert geo.slant_range_from_elevation(float(target), ORBIT) == pytest.approx(l_forward, rel=1e-9)
 
 
 def test_elevation_from_slant_range_inverse():

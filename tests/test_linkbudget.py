@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import references
 from satqlink import linkbudget as lb
 
 LINK = lb.OpticalLinkParams()  # 795 nm, 3 urad, 1 urad jitter, 0.5 m pupil
@@ -21,14 +22,6 @@ def test_beam_radius():
     assert lb.beam_radius(500e3, LINK) == pytest.approx(1.5023698879175138, rel=1e-12)
     # far field: w(z) -> divergence * z
     assert lb.beam_radius(1e9, LINK) / (3e-6 * 1e9) == pytest.approx(1.0, rel=1e-6)
-
-
-def test_effective_spot_sigma():
-    zero_jitter = replace(LINK, pointing_jitter_rms=0.0)
-    z = 700e3
-    assert lb.effective_spot_sigma(z, zero_jitter) == lb.beam_radius(z, zero_jitter) / 2.0
-    assert lb.effective_spot_sigma(500e3, LINK) == pytest.approx(0.9023739912200045, rel=1e-12)
-    assert lb.effective_spot_sigma(1461.9e3, LINK) == pytest.approx(2.635815159022028, rel=1e-12)
 
 
 def test_collected_fraction_closed_form():
@@ -50,7 +43,7 @@ def test_collected_fraction_ratio_between_ranges():
 def test_quadrature_oracle_agrees(l_km, jitter_urad):
     params = replace(LINK, pointing_jitter_rms=jitter_urad * 1e-6)
     analytic = lb.collected_fraction(l_km * 1e3, params)
-    reference = lb.collected_fraction_quadrature(l_km * 1e3, params)
+    reference = references.collected_fraction_quadrature(l_km * 1e3, params)
     assert analytic == pytest.approx(reference, rel=1e-6)
 
 
@@ -119,7 +112,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         lb.OpticalLinkParams(detector_efficiency=1.2)
     with pytest.raises(ValueError):
-        lb.effective_spot_sigma(0.0, LINK)
+        lb.collected_fraction(0.0, LINK)
     with pytest.raises(ValueError):
         lb.beam_radius(-1.0, LINK)
 
@@ -142,8 +135,7 @@ def test_row_kernel_matches_scalar_calls():
             assert cell == (link.detector_efficiency
                             * lb.atmospheric_transmission(theta, link.zenith_transmission)
                             * collected)
-            spot = lb.effective_spot_sigma(l, link)
-            assert spot == math.hypot(lb.beam_radius(l, link) / 2.0, sigma * l)
+            spot = math.hypot(lb.beam_radius(l, link) / 2.0, sigma * l)
             assert collected == 1.0 - math.exp(-r * r / (2.0 * spot * spot))
 
 
@@ -154,7 +146,7 @@ def test_range_checks_reject_nan_and_out_of_domain():
         with pytest.raises(ValueError):
             lb.atmospheric_transmission(0.5, bad)
     for bad in (math.nan, -1.0):
-        for fn in (lb.beam_radius, lb.effective_spot_sigma, lb.collected_fraction):
+        for fn in (lb.beam_radius, lb.collected_fraction):
             with pytest.raises(ValueError):
                 fn(bad, LINK)
         with pytest.raises(ValueError):

@@ -44,17 +44,21 @@ def test_extreme_jitter_kills_the_dual_link():
 
 
 def test_improvement_factor():
-    assert scn.improvement_factor(CFG) == pytest.approx(111.22522764829596, rel=1e-9)
-    assert abs(scn.improvement_factor(CFG) - 111.0) <= 2.0
-    assert scn.improvement_factor(replace(CFG, eta_mem=0.37)) == pytest.approx(
+    # the improvement factor is the gain of the comparison
+    def gain(cfg):
+        return scn.compare_scenarios(cfg).gain
+
+    assert gain(CFG) == pytest.approx(111.22522764829596, rel=1e-9)
+    assert abs(gain(CFG) - 111.0) <= 2.0
+    assert gain(replace(CFG, eta_mem=0.37)) == pytest.approx(
         111.22522764829596 / 2.0, rel=1e-9
     )
     degenerate = replace(CFG, eta_mem=1.0, dual_elevation=math.pi / 2,
                          buffered_slant_range=CFG.dual_slant_range)
-    assert scn.improvement_factor(degenerate) == pytest.approx(1.0, rel=1e-12)
+    assert gain(degenerate) == pytest.approx(1.0, rel=1e-12)
     dead = replace(CFG, link=replace(CFG.link, detector_efficiency=0.0))
     with pytest.raises(ValueError):
-        scn.improvement_factor(dead)
+        gain(dead)
 
 
 def test_compare_scenarios_baseline():
@@ -222,14 +226,17 @@ def test_scenario_config_validation():
 
 
 def test_improvement_factor_agrees_with_compare_scenarios():
+    # the gain is the buffered over the dual success probability (the rate
+    # ratio), and undefined without a dual success probability
     for cfg in (CFG, replace(CFG, eta_mem=0.37, dual_elevation=0.5)):
-        assert scn.improvement_factor(cfg) == scn.compare_scenarios(cfg).gain
+        result = scn.compare_scenarios(cfg)
+        assert result.gain == result.eta_buffered / result.eta_dual
     dead = replace(CFG, link=replace(CFG.link, detector_efficiency=0.0))
 
     def one_cell_gain_map(cfg):
         return scn.gain_map(np.array([1.0]), np.array([0.5]), cfg)
 
-    for fn in (scn.improvement_factor, scn.compare_scenarios, one_cell_gain_map):
+    for fn in (scn.compare_scenarios, one_cell_gain_map):
         with pytest.raises(ValueError, match="gain undefined"):
             fn(dead)
 
