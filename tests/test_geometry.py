@@ -49,6 +49,17 @@ def test_closed_form_matches_bisection_through_forward_equations():
         assert geo.slant_range_from_elevation(float(target), ORBIT) == pytest.approx(l_forward, rel=1e-9)
 
 
+def test_round_trip_elevation_recovery():
+    # elevation -> slant range -> ground-track separation -> elevation; the
+    # separation comes from the law of cosines that slant_range inverts
+    r_e, r_s = ORBIT.earth_radius, ORBIT.orbit_radius
+    for theta in np.linspace(0.01, math.pi / 2, 40):
+        l = geo.slant_range_from_elevation(float(theta), ORBIT)
+        arg = (r_e * r_e + r_s * r_s - l * l) / (2.0 * r_e * r_s)
+        lg = r_e * math.acos(min(1.0, arg))
+        assert geo.elevation(lg, ORBIT) == pytest.approx(float(theta), abs=1e-9)
+
+
 def test_elevation_from_slant_range_inverse():
     assert geo.elevation_from_slant_range(500.0, ORBIT) == math.pi / 2
     for l in (600.0, 1000.0, 1461.9, 2000.0, 2500.0):
