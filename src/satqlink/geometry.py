@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "OrbitalConfig",
-    "slant_range",
-    "elevation",
     "slant_range_from_elevation",
     "elevation_from_slant_range",
     "orbital_period",
@@ -50,43 +48,6 @@ class OrbitalConfig:
         return self.earth_radius + self.altitude
 
 
-def slant_range(ground_track: float, orbit: OrbitalConfig) -> float:
-    """Line-of-sight distance (km) for a ground-track separation (km).
-
-    Law of cosines in the Earth-centre / station / satellite triangle, with
-    central angle ground_track / earth_radius.
-    """
-    r_e = orbit.earth_radius
-    r_s = orbit.orbit_radius
-    if ground_track < 0.0:
-        raise ValueError("ground_track must be non-negative")
-    central = ground_track / r_e
-    if central >= math.pi:
-        raise ValueError("ground_track exceeds half the Earth circumference")
-    l_sq = r_e * r_e + r_s * r_s - 2.0 * r_e * r_s * math.cos(central)
-    if l_sq <= 0.0:
-        raise ValueError("degenerate geometry: non-positive squared range")
-    return math.sqrt(l_sq)
-
-
-def elevation(ground_track: float, orbit: OrbitalConfig) -> float:
-    """Elevation angle (rad) of the satellite seen from the station.
-
-    pi/2 at zenith (ground_track = 0), negative once the satellite drops
-    below the station's horizon.
-    """
-    central = ground_track / orbit.earth_radius
-    if ground_track == 0.0:
-        return math.pi / 2.0
-    l = slant_range(ground_track, orbit)
-    arg = orbit.earth_radius / l * math.sin(central)
-    if arg > 1.0:
-        if arg > 1.0 + _ASIN_TOL:
-            raise ValueError(f"arcsin argument {arg} outside [-1, 1]")
-        arg = 1.0
-    return math.pi / 2.0 - central - math.asin(arg)
-
-
 def slant_range_from_elevation(theta: float, orbit: OrbitalConfig) -> float:
     """Closed-form inverse: slant range (km) at elevation theta (rad).
 
@@ -106,12 +67,12 @@ def elevation_from_slant_range(l: float, orbit: OrbitalConfig) -> float:
     Defined for l between the altitude (zenith) and the horizon range
     sqrt(orbit_radius^2 - earth_radius^2).
     """
-    if l <= 0.0:
+    if not (l > 0.0):
         raise ValueError("slant range must be positive")
     r_e = orbit.earth_radius
     r_s = orbit.orbit_radius
     arg = (r_s * r_s - r_e * r_e - l * l) / (2.0 * l * r_e)
-    if arg > 1.0 + _ASIN_TOL or arg < -_ASIN_TOL:
+    if not (-_ASIN_TOL <= arg <= 1.0 + _ASIN_TOL):
         raise ValueError(f"slant range {l} km is outside the visible pass")
     arg = max(0.0, min(1.0, arg))
     return math.asin(arg)
@@ -129,7 +90,7 @@ def buffer_time(ogs_separation: float, orbit: OrbitalConfig) -> float:
     Arc distance between the stations divided by the ground-track speed
     2*pi*earth_radius / period.
     """
-    if ogs_separation < 0.0:
+    if not (ogs_separation >= 0.0):
         raise ValueError("ogs_separation must be non-negative")
     ground_speed = 2.0 * math.pi * orbit.earth_radius / orbital_period(orbit)
     return ogs_separation / ground_speed

@@ -120,16 +120,13 @@ def compare_scenarios(cfg: ScenarioConfig) -> ScenarioResult:
 class Grid(list):
     """A map as a row-major list of rows of floats.
 
-    ``size`` (the cell count) and ``tolist`` (plain nested lists) read as
-    they do on a numpy array, and ``numpy.asarray`` gives the 2-D array.
+    ``size`` (the cell count) reads as it does on a numpy array, and
+    ``numpy.asarray`` gives the 2-D array.
     """
 
     @property
     def size(self) -> int:
         return sum(len(row) for row in self)
-
-    def tolist(self) -> list[list[float]]:
-        return [list(row) for row in self]
 
 
 def downlink_probability_map(range_axis_km, jitter_axis_rad, cfg: ScenarioConfig) -> Grid:
@@ -238,7 +235,7 @@ def _grid_csv(header: str, rows: list[float], columns: list[float], grid: Grid) 
     """
     column_labels = csv_floats(columns)
     blocks = [header, "\n"]
-    for row_label, values in zip(csv_floats(rows), grid.tolist()):
+    for row_label, values in zip(csv_floats(rows), grid):
         blocks.append(csv_block(row_label, map(",".join, zip(column_labels, csv_floats(values)))))
     return "".join(blocks)
 

@@ -111,6 +111,6 @@ def yield_buffered(
 
 def feasibility(memory_lifetime: float, buffer_interval: float) -> bool:
     """Whether the memory lives long enough to bridge the buffer interval."""
-    if memory_lifetime < 0.0 or buffer_interval < 0.0:
+    if not (memory_lifetime >= 0.0 and buffer_interval >= 0.0):
         raise ValueError("times must be non-negative")
     return memory_lifetime >= buffer_interval

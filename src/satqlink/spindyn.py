@@ -7,16 +7,18 @@ the operator is second-order accurate.
 
 Every schedule phase has constant controls, so within a phase the fields
 obey a linear system y' = A y with a constant A, and the state at any time
-of the phase is exp(tau A) y0. A is assembled once per phase from a 3x3
-block that acts at every node (decay, detuning, control and exchange
-couplings) and the tridiagonal diffusion stencils of S and K. Each group of
-fields that the phase couples is propagated exactly in an eigenbasis of the
-Laplacian: the flux-form Laplacian is symmetric once scaled by the square
-root of the shell volumes, so ``numpy.linalg.eigh`` diagonalises it, once
-per run and wall condition. In that basis a single field (storage) and the
-{P, S} optical window split into independent modes of one or two fields,
-each exponentiated in closed form. The Dirichlet stencil of S differs from
-the Neumann stencil of K only at the wall node, so in the Neumann basis an
+of the phase is exp(tau A) y0. A phase is given by a 3x3 block that acts at
+every node (decay, detuning, control and exchange couplings) and the
+diffusion constants of P, S and K. A phase switches on at most one
+coupling, the control in an optical window or the exchange in a transfer,
+so each group of fields that it couples holds one or two fields. Each
+group is propagated exactly in an eigenbasis of the Laplacian: the
+flux-form Laplacian is symmetric once scaled by the square root of the
+shell volumes, so ``numpy.linalg.eigh`` diagonalises it, once per grid and
+wall condition. In that basis a single field (storage) and the {P, S}
+optical window split into independent modes of one or two fields, each
+exponentiated in closed form. The Dirichlet stencil of S differs from the
+Neumann stencil of K only at the wall node, so in the Neumann basis an
 {S, K} transfer is n 2 x 2 blocks plus a rank-one wall term; its
 exponential is a trapezoid sum of the resolvent along a Talbot contour
 (Trefethen, Weideman & Schmelzer, BIT 46, 653 (2006)), each resolvent
@@ -36,7 +38,8 @@ initial state with optical amplitude and a schedule with non-zero control
 windows.
 
 The propagators need numpy only. The tests hold them to an LSODA reference
-that steps the same operators (``tests/references.py``).
+that steps the same equations, assembled as banded operators
+(``tests/references.py``).
 """
 
 from __future__ import annotations
@@ -140,6 +143,21 @@ class RadialGrid:
         self.faces = np.linspace(0.0, self.cell_radius, self.point_count + 1)
         self.nodes = 0.5 * (self.faces[:-1] + self.faces[1:])
         self.shell_volumes = np.diff(self.faces ** 3) / 3.0
+        self._eigh = {}
+
+    def eigenbasis(self, bc: str):
+        """(eigenvalues, orthonormal eigenvectors) of the flux-form Laplacian
+        under ``bc``, symmetrised by the square root of the shell volumes V: L
+        is similar to V^(1/2) L V^(-1/2), whose off-diagonal is the geometric
+        mean of L's two. Computed on the first call for each ``bc``."""
+        if bc not in self._eigh:
+            lower, diag, upper = _laplacian_diagonals(self, bc)
+            off = np.sqrt(lower * upper)
+            lam, q = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+            # The flux-form Laplacian is negative semi-definite; clipping the rounding
+            # of the Neumann zero mode keeps exp from growing over very long phases.
+            self._eigh[bc] = np.minimum(lam, 0.0), q
+        return self._eigh[bc]
 
     def volume_norm_sq(self, field: np.ndarray) -> float:
         """Integral of |field|^2 r^2 dr over the cell."""
@@ -271,44 +289,14 @@ def _laplacian_diagonals(grid: RadialGrid, bc: str):
     return a[1:-1] / v[1:], -(a[:-1] + a[1:]) / v, a[1:-1] / v[:-1]
 
 
-@dataclass(frozen=True)
-class _Operator:
-    """The constant A of y' = A y for an (n, g) state of g fields, node by node.
-
-    ``local`` (g x g) acts at every node: decay and detuning on its diagonal,
-    the control and exchange couplings off it. Column f of ``lower`` (n-1),
-    ``diag`` (n) and ``upper`` (n-1) holds the diagonals of field f's
-    diffusion stencil, D times the flux-form Laplacian.
-    """
-
-    local: np.ndarray
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-
-    def __matmul__(self, y: np.ndarray) -> np.ndarray:
-        out = y @ self.local.T
-        out += self.diag * y
-        out[1:] += self.lower * y[:-1]
-        out[:-1] += self.upper * y[1:]
-        return out
-
-    def fields(self, picked: list) -> _Operator:
-        """The block of A that acts on the fields ``picked`` (column indices)."""
-        return _Operator(self.local[np.ix_(picked, picked)], self.lower[:, picked],
-                         self.diag[:, picked], self.upper[:, picked])
-
-    def norm1(self) -> float:
-        """Largest column sum of |A|."""
-        local = np.abs(self.local)
-        col = np.abs(self.diag + np.diag(self.local)) + local.sum(axis=0) - np.diag(local)
-        col[:-1] += np.abs(self.lower)  # column i holds lower[i] in row i + 1
-        col[1:] += np.abs(self.upper)   # and upper[i - 1] in row i - 1
-        return float(col.max())
+# Wall conditions of P, S and K: the alkali spin S is pinned to zero at the
+# wall (Dirichlet); the noble-gas spin K, and P, which does not diffuse, see a
+# reflective wall (Neumann).
+_PINNED = np.array([False, True, False])
 
 
-def _phase_operator(ens, grid, control_rabi, exchange_coupling) -> _Operator:
-    """The operator of one phase on the state (P, S, K) node by node.
+def _phase_operator(ens, control_rabi, exchange_coupling):
+    """(local, diffusion) of one phase on the state (P, S, K) node by node.
 
     Field 0 is P, 1 is S and 2 is K, and y' = A y are the coupled equations
 
@@ -317,8 +305,10 @@ def _phase_operator(ens, grid, control_rabi, exchange_coupling) -> _Operator:
     dK = -(gamma_k + i delta_k) K + D_b lap(K) - i J S
 
     with a Dirichlet wall for S and a Neumann wall for K (``radial_laplacian``).
-    The control Rabi frequency is taken real; ``exchange_coupling`` is the
-    phase's J, 0.0 when the exchange is off. Absorption enters as the
+    ``local`` (3 x 3) acts at every node: decay and detuning on its diagonal,
+    the control and exchange couplings off it; ``diffusion`` holds D of P, S
+    and K. The control Rabi frequency is taken real; ``exchange_coupling`` is
+    the phase's J, 0.0 when the exchange is off. Absorption enters as the
     initial condition, not as a drive term.
     """
     i_omega, i_j = 1j * control_rabi, 1j * exchange_coupling
@@ -327,12 +317,21 @@ def _phase_operator(ens, grid, control_rabi, exchange_coupling) -> _Operator:
         [i_omega, -(ens.alkali_decay + 1j * ens.alkali_detuning), -i_j],
         [0.0, -i_j, -(ens.noble_decay + 1j * ens.noble_detuning)],
     ])
-    n = grid.point_count
-    lower, diag, upper = np.zeros((n - 1, 3)), np.zeros((n, 3)), np.zeros((n - 1, 3))
-    for field, d, bc in ((1, ens.alkali_diffusion, "dirichlet"), (2, ens.noble_diffusion, "neumann")):
-        lo, di, up = _laplacian_diagonals(grid, bc)
-        lower[:, field], diag[:, field], upper[:, field] = d * lo, d * di, d * up
-    return _Operator(local, lower, diag, upper)
+    return local, np.array([0.0, ens.alkali_diffusion, ens.noble_diffusion])
+
+
+def _norm1(phase, grid: RadialGrid) -> float:
+    """||A||_1, the largest column sum of |A|, of a phase's operator on the
+    grid: at node i the column of field f holds local[:, f], plus D_f times
+    its stencil's diagonal at i and its entries in rows i + 1 and i - 1."""
+    local, diffusion = phase
+    off = np.abs(local).sum(axis=0) - np.abs(np.diag(local))
+    columns = []
+    for f, pinned in enumerate(_PINNED):
+        lower, diag, upper = _laplacian_diagonals(grid, "dirichlet" if pinned else "neumann")
+        reach = np.append(lower, 0.0) + np.insert(upper, 0, 0.0)
+        columns.append(np.abs(local[f, f] + diffusion[f] * diag) + off[f] + diffusion[f] * reach)
+    return float(np.max(columns))
 
 
 def _coupled_groups(local: np.ndarray) -> list:
@@ -344,21 +343,6 @@ def _coupled_groups(local: np.ndarray) -> list:
         groups = [g for g in groups if g not in joined]
         groups.append(sorted([f] + [h for g in joined for h in g]))
     return groups
-
-
-def _basis(grid: RadialGrid, bc: str, bases: dict):
-    """(eigenvalues, orthonormal eigenvectors) of the flux-form Laplacian under
-    ``bc``, symmetrised by the square root of the shell volumes V: L is
-    similar to V^(1/2) L V^(-1/2), whose off-diagonal is the geometric mean of
-    L's two. Computed once per ``bases`` cache, that is once per run."""
-    if bc not in bases:
-        lower, diag, upper = _laplacian_diagonals(grid, bc)
-        off = np.sqrt(lower * upper)
-        lam, q = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        # The flux-form Laplacian is negative semi-definite; clipping the rounding
-        # of the Neumann zero mode keeps exp from growing over very long phases.
-        bases[bc] = np.minimum(lam, 0.0), q
-    return bases[bc]
 
 
 def _block_exp(blocks: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -396,9 +380,7 @@ def _talbot():
 
 
 def _inverse_blocks(m: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of g x g blocks; 2 x 2 ones as adjugate / determinant."""
-    if m.shape[-1] != 2:
-        return np.linalg.inv(m)
+    """Inverses of a stack of 2 x 2 blocks, as adjugate / determinant."""
     inverse = np.empty_like(m)
     det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     inverse[..., 0, 0] = m[..., 1, 1] / det
@@ -409,26 +391,21 @@ def _inverse_blocks(m: np.ndarray) -> np.ndarray:
 
 
 def _contour_step(blocks: np.ndarray, wall, h: float):
-    """exp(h A) as a function of the modal state (n, g), for A the per-mode
-    blocks less the rank-one wall term sigma v v^T, v = e_f (x) u, when
-    ``wall`` = (f, sigma, u) is given.
+    """exp(h A) as a function of the modal state (n, 2), for A the per-mode
+    2 x 2 blocks less the rank-one wall term sigma v v^T, v = e_f (x) u, with
+    ``wall`` = (f, sigma, u).
 
     The resolvent is taken in the scaled variable h A, so that no node grows
     like 1 / h, and through Sherman-Morrison on the blocks' inverses: the
-    quadrature gives the blocks' exponential plus one rank-one term per node.
-    Blocks of up to two fields are exponentiated in closed form instead, so
-    that only the wall term carries the quadrature's rounding (on rescaled
-    transfers at n = 64, 3e-14 of the state rather than 1.2e-13).
+    exponential is the blocks' own, in closed form, plus one rank-one term per
+    quadrature node, so that only the wall term carries the quadrature's
+    rounding (on rescaled transfers at n = 64, 3e-14 of the state rather than
+    1.2e-13 when the blocks are summed on the contour too).
     """
     n, g, _ = blocks.shape
     w, weights = _talbot()
     inverses = _inverse_blocks(w[:, None, None, None] * np.eye(g) - h * blocks)
-    if g <= 2:
-        diagonal = _block_exp(blocks, np.array([h]))[0]
-    else:
-        diagonal = np.tensordot(weights, inverses, axes=1)
-    if wall is None:
-        return lambda x: (diagonal @ x[:, :, None])[:, :, 0]
+    diagonal = _block_exp(blocks, np.array([h]))[0]
     f, sigma, u = wall
     towards = inverses[:, :, :, f] * u[:, None]  # M^-1 v, one row per node
     away = inverses[:, :, f, :] * u[:, None]     # v^T M^-1
@@ -456,48 +433,47 @@ def _contour_frames(blocks, wall, x, taus, longest):
     return frames
 
 
-def _group_propagate(op: _Operator, grid: RadialGrid, y: np.ndarray, taus: np.ndarray,
-                     bases: dict) -> np.ndarray:
-    """exp(tau A) y at every tau of ``taus`` for the block A of one coupled
-    group of g fields and its state y (n, g).
+def _group_propagate(local: np.ndarray, diffusion: np.ndarray, pinned: np.ndarray,
+                     grid: RadialGrid, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """exp(tau A) y at every tau of ``taus`` for one coupled group of one or
+    two fields: its local block (g x g), diffusion constants and wall
+    conditions, and its state y (n, g).
 
     Field f diffuses by D_f L_N - sigma_f e_n e_n^T: D_f times the Neumann
-    Laplacian, less a wall term sigma_f at the wall node that pins a Dirichlet
-    field to zero. Both are read off the operator. The group is propagated in
-    one eigenbasis of the Laplacian: none without diffusion, the Dirichlet
-    one when every diffusing field is pinned, the Neumann one otherwise. In
-    it A splits into n blocks g x g, one per mode, plus a rank-one wall term
-    on the pinned field in the Neumann basis (only S is pinned). Blocks of
-    one or two fields without a wall term are exponentiated in closed form;
-    any other group through a contour integral of its resolvent.
+    Laplacian, less a wall term sigma_f = D_f (L_N - L_D) at the wall node
+    when the field is pinned there. The group is propagated in one eigenbasis
+    of the Laplacian: none without diffusion, the Dirichlet one when every
+    diffusing field is pinned, the Neumann one otherwise. In it A splits into
+    n blocks g x g, one per mode, exponentiated in closed form; in the
+    Neumann basis a diffusing pinned field (S in a transfer) adds a rank-one
+    wall term, summed through a contour integral of the resolvent.
     """
     n, g = y.shape
-    upper = _laplacian_diagonals(grid, "neumann")[2]
-    rates = op.upper[0] / upper[0]
-    walls = -(op.diag[-1] + op.lower[-1])
-    diffusing = rates != 0.0
+    diffusing = diffusion != 0.0
     # Shift by the rightmost decay and the centre of the detunings: the
     # spectrum then lies left of the imaginary axis, centred on the real one.
-    local = np.diag(op.local)
-    mu = local.real.max() + 0.5j * (local.imag.max() + local.imag.min())
-    blocks = np.repeat((op.local - mu * np.eye(g))[None], n, axis=0)
+    own = np.diag(local)
+    mu = own.real.max() + 0.5j * (own.imag.max() + own.imag.min())
+    blocks = np.repeat((local - mu * np.eye(g))[None], n, axis=0)
     wall = None
     if diffusing.any():
-        bc = "dirichlet" if walls[diffusing].all() else "neumann"
-        lam, q = _basis(grid, bc, bases)
-        blocks[:, range(g), range(g)] += lam[:, None] * rates
+        bc = "dirichlet" if pinned[diffusing].all() else "neumann"
+        lam, q = grid.eigenbasis(bc)
+        blocks[:, range(g), range(g)] += lam[:, None] * diffusion
         root = np.sqrt(grid.shell_volumes)[:, None]
         x = q.T @ (root * y)
-        if bc == "neumann" and walls.any():
-            f = int(np.flatnonzero(walls)[0])
-            wall = (f, walls[f], q[-1])
+        if bc == "neumann" and (pinned & diffusing).any():
+            f = int(np.argmax(pinned))
+            lap_n, lap_d = (_laplacian_diagonals(grid, wall_bc)[1][-1] for wall_bc in ("neumann", "dirichlet"))
+            # one product per stencil, rounded as in D_f L under each wall condition
+            wall = (f, diffusion[f] * lap_n - diffusion[f] * lap_d, q[-1])
     else:
         x = y
-    if wall is None and g <= 2:
+    if wall is None:
         frames = (_block_exp(blocks, taus) @ x[:, :, None])[..., 0]
     else:
-        couplings = np.abs(op.local - np.diag(local)).sum(axis=1).max()
-        longest = _CONTOUR_SPAN / (np.ptp(local.imag) + 2.0 * couplings)
+        couplings = np.abs(local - np.diag(own)).sum(axis=1).max()
+        longest = _CONTOUR_SPAN / (np.ptp(own.imag) + 2.0 * couplings)
         frames = _contour_frames(blocks, wall, x, taus, longest)
     frames *= np.exp(mu * taus)[:, None, None]
     if not diffusing.any():
@@ -516,22 +492,28 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def _propagate(op: _Operator, grid: RadialGrid, y: np.ndarray, t0: float,
-               t_eval: np.ndarray, where: str, bases: dict | None = None) -> np.ndarray:
+def _propagate(phase, grid: RadialGrid, y: np.ndarray, t0: float, t_eval: np.ndarray,
+               where: str) -> np.ndarray:
     """The (n, 3) state at every time of ``t_eval`` in the phase that starts
-    at ``t0`` from state ``y``, each coupled group exactly. ``bases`` caches
-    the Laplacian eigenbases across the phases of one run. Raises
+    at ``t0`` from state ``y``, each coupled group exactly. Raises
     :class:`SolverFailure`, naming ``where``, when a linear-algebra routine
-    fails or the phase ends in a non-finite state."""
+    fails or the phase ends in a non-finite state, and ValueError for a
+    phase that switches on both the control and the exchange."""
+    local, diffusion = phase
+    groups = _coupled_groups(local)
+    if any(len(group) > 2 for group in groups):
+        raise ValueError(f"{where} switches on both the control and the exchange")
     taus = t_eval - t0
-    bases = {} if bases is None else bases
     frames = np.zeros((len(t_eval),) + y.shape, dtype=np.complex128)
     try:
         # An invalid operation leaves a NaN, which the check below reports.
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            for group in _coupled_groups(op.local):
+            for group in groups:
                 if y[:, group].any():
-                    frames[:, :, group] = _group_propagate(op.fields(group), grid, y[:, group], taus, bases)
+                    frames[:, :, group] = _group_propagate(
+                        local[np.ix_(group, group)], diffusion[group], _PINNED[group],
+                        grid, y[:, group], taus,
+                    )
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"{where}: {exc}") from exc
     if not np.isfinite(frames[-1]).all():
@@ -584,32 +566,32 @@ def integrate(
     couples is propagated exactly in an eigenbasis of the Laplacian: in
     closed form for a single field, an optical window or any group without
     diffusion, and by a Talbot contour quadrature of the resolvent for an
-    {S, K} transfer. Each eigenbasis is computed once per call, when a phase
+    {S, K} transfer. Each eigenbasis is computed once per grid, when a phase
     first needs it. States are evaluated at ``sample_times``; phase
     boundaries are always included. Raises :class:`SolverFailure`, naming
     the phase, when a linear-algebra routine fails or a phase ends in a
-    non-finite state; and ValueError for a phase that still matters but is
-    shorter than the float resolution of its start time.
+    non-finite state; and ValueError for a sample time that is NaN or
+    outside the schedule, or a phase that still matters but is shorter than
+    the float resolution of its start time.
     """
     phases = _schedule_phases(schedule, ens)
     total = sum(d for d, _, _ in phases)
 
     requested = np.array([], dtype=float) if sample_times is None else np.asarray(sample_times, dtype=float)
-    if requested.size and (requested.min() < 0.0 or requested.max() > total * (1.0 + 1e-12)):
+    if requested.size and not (requested.min() >= 0.0 and requested.max() <= total * (1.0 + 1e-12)):
         raise ValueError("sample_times must lie within the schedule duration")
 
     y = np.stack((initial.optical, initial.alkali, initial.noble), axis=1).astype(np.complex128)
     times = [0.0]
     frames = [y[None]]
 
-    bases = {}
     t0 = 0.0
     for index, (duration, omega, j_value) in enumerate(phases):
         t1 = t0 + duration
-        a = _phase_operator(ens, grid, omega, j_value)
+        phase = _phase_operator(ens, omega, j_value)
         if t1 == t0:
             # exp(duration A) moves the state by at most about ||A||_1 duration.
-            if duration * a.norm1() > _NEGLIGIBLE_PHASE:
+            if duration * _norm1(phase, grid) > _NEGLIGIBLE_PHASE:
                 raise ValueError(
                     f"phase {index + 1} of {len(phases)} ({duration:g} s) is shorter than "
                     f"the time resolution at t = {t0:g} s"
@@ -620,7 +602,7 @@ def integrate(
         t_eval = np.sort(np.append(inside, t1))
         t_eval = t_eval[np.append(t_eval[:-1] != t_eval[1:], True)]
         where = f"phase {index + 1} of {len(phases)} (t = {t0:g} to {t1:g} s)"
-        block = _propagate(a, grid, y, t0, t_eval, where, bases)
+        block = _propagate(phase, grid, y, t0, t_eval, where)
         times.extend(t_eval)
         frames.append(block)
         y = block[-1]

@@ -1,24 +1,29 @@
 """Numerical references that the tests hold the closed forms to.
 
-Both are slow by design and need scipy, which no command loads:
-
-- ``rhs`` and ``lsoda_propagate`` step the coupled field equations with
-  LSODA, against which the exact modal propagators of ``satqlink.spindyn``
-  are checked;
+- ``rhs``, ``assemble`` and ``lsoda_propagate`` write out, assemble and step
+  the coupled field equations with LSODA, against which the exact modal
+  propagators of ``satqlink.spindyn`` are checked;
 - ``collected_fraction_quadrature`` integrates the jitter-broadened beam
   over the receiver pupil, against which ``linkbudget.collected_fraction``
-  is checked (acceptance criterion 06).
+  is checked (acceptance criterion 06);
+- ``slant_range`` and ``elevation`` are the forward pass geometry, against
+  which the closed-form inverses of ``satqlink.geometry`` are checked.
+
+The quadrature and LSODA are slow by design and need scipy, which no
+command loads.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import i0e
 
 from satqlink import spindyn as sd
+from satqlink.geometry import _ASIN_TOL, OrbitalConfig
 from satqlink.linkbudget import OpticalLinkParams, beam_radius
 from satqlink.spindyn import EnsembleParams, RadialGrid, SpinFieldState
 
@@ -57,7 +62,44 @@ def rhs(
     return dp, ds, dk
 
 
-def real_band(op) -> tuple[np.ndarray, int]:
+@dataclass(frozen=True)
+class Operator:
+    """The constant A of y' = A y for an (n, 3) state of P, S and K, node by
+    node.
+
+    ``local`` (3 x 3) acts at every node. Column f of ``lower`` (n-1),
+    ``diag`` (n) and ``upper`` (n-1) holds the diagonals of field f's
+    diffusion stencil, D times the flux-form Laplacian.
+    """
+
+    local: np.ndarray
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        out = y @ self.local.T
+        out += self.diag * y
+        out[1:] += self.lower * y[:-1]
+        out[:-1] += self.upper * y[1:]
+        return out
+
+
+def assemble(phase, grid: RadialGrid) -> Operator:
+    """The operator of a ``spindyn._phase_operator`` phase (local block and
+    diffusion constants of P, S and K), with the Dirichlet stencil for S and
+    the Neumann stencil for K."""
+    local, diffusion = phase
+    n = grid.point_count
+    lower, diag, upper = np.zeros((n - 1, 3)), np.zeros((n, 3)), np.zeros((n - 1, 3))
+    for field, bc in ((1, "dirichlet"), (2, "neumann")):
+        lo, di, up = sd._laplacian_diagonals(grid, bc)
+        d = diffusion[field]
+        lower[:, field], diag[:, field], upper[:, field] = d * lo, d * di, d * up
+    return Operator(local, lower, diag, upper)
+
+
+def real_band(op: Operator) -> tuple[np.ndarray, int]:
     """Real form of a phase operator A on the interleaved state, in the packed
     banded layout of LSODA, and its half bandwidth: the stencils couple
     complex indices g apart, that is 2 g reals, plus one for the
@@ -76,7 +118,7 @@ def real_band(op) -> tuple[np.ndarray, int]:
     return band, half
 
 
-def lsoda_propagate(op, y: np.ndarray, t0: float, t_eval: np.ndarray,
+def lsoda_propagate(op: Operator, y: np.ndarray, t0: float, t_eval: np.ndarray,
                     rtol: float, atol: float) -> np.ndarray:
     """The state at every time of ``t_eval`` (the last one ends the phase that
     starts at ``t0``), stepped by LSODA at ``rtol``/``atol``.
@@ -145,3 +187,40 @@ def collected_fraction_quadrature(l: float, params: OpticalLinkParams) -> float:
         limit=200,
     )
     return power
+
+
+def slant_range(ground_track: float, orbit: OrbitalConfig) -> float:
+    """Line-of-sight distance (km) for a ground-track separation (km).
+
+    Law of cosines in the Earth-centre / station / satellite triangle, with
+    central angle ground_track / earth_radius.
+    """
+    r_e = orbit.earth_radius
+    r_s = orbit.orbit_radius
+    if ground_track < 0.0:
+        raise ValueError("ground_track must be non-negative")
+    central = ground_track / r_e
+    if central >= math.pi:
+        raise ValueError("ground_track exceeds half the Earth circumference")
+    l_sq = r_e * r_e + r_s * r_s - 2.0 * r_e * r_s * math.cos(central)
+    if l_sq <= 0.0:
+        raise ValueError("degenerate geometry: non-positive squared range")
+    return math.sqrt(l_sq)
+
+
+def elevation(ground_track: float, orbit: OrbitalConfig) -> float:
+    """Elevation angle (rad) of the satellite seen from the station.
+
+    pi/2 at zenith (ground_track = 0), negative once the satellite drops
+    below the station's horizon.
+    """
+    central = ground_track / orbit.earth_radius
+    if ground_track == 0.0:
+        return math.pi / 2.0
+    l = slant_range(ground_track, orbit)
+    arg = orbit.earth_radius / l * math.sin(central)
+    if arg > 1.0:
+        if arg > 1.0 + _ASIN_TOL:
+            raise ValueError(f"arcsin argument {arg} outside [-1, 1]")
+        arg = 1.0
+    return math.pi / 2.0 - central - math.asin(arg)

@@ -442,6 +442,29 @@ def test_public_names_resolve():
             assert name in exported, f"satqlink.{name}"
 
 
+def _integrate_with_sample_times(times):
+    grid = spindyn.RadialGrid(0.01, 16)
+    schedule = spindyn.ProtocolSchedule(dark_interval=1.0, exchange_window=1.0)
+    ens = spindyn.EnsembleParams(exchange_coupling=1.0)
+    spindyn.integrate(spindyn.initial_state(grid), schedule, ens, grid, sample_times=np.array(times))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: geometry.elevation_from_slant_range(math.nan, OrbitalConfig()),
+    lambda: geometry.elevation_from_slant_range(math.inf, OrbitalConfig()),
+    lambda: geometry.buffer_time(math.nan, OrbitalConfig()),
+    lambda: skr.feasibility(math.nan, 1.0),
+    lambda: skr.feasibility(1.0, math.nan),
+    lambda: _integrate_with_sample_times([0.0, math.nan, 1.0]),
+], ids=["elevation_from_slant_range-nan", "elevation_from_slant_range-inf", "buffer_time-nan",
+        "feasibility-lifetime-nan", "feasibility-interval-nan", "integrate-sample-nan"])
+def test_public_scalar_api_rejects_nan_and_inf(call):
+    # the command line checks every flag and key for finiteness; a library
+    # caller gets a ValueError instead of zenith, NaN, False or a dropped sample
+    with pytest.raises(ValueError):
+        call()
+
+
 # Top-level public names of src/satqlink that no code in src/ refers to,
 # each with the caller that keeps it.
 _UNREFERENCED_IN_SRC = {
@@ -450,7 +473,6 @@ _UNREFERENCED_IN_SRC = {
     "collected_fraction",       # benchmark tracer seam (perfbench/tracing.py)
     "radial_laplacian",         # benchmark tracer seam
     "solve_ivp",                # benchmark tracer seam; the tests' LSODA reference
-    "elevation",                # forward pass equation; only the geometry tests call it
     "__version__",              # the package version
 }
 
@@ -553,16 +575,21 @@ assert not missing, missing
 
 
 def test_memory_loads_no_scipy(tmp_path):
-    """memory under every preset, and on a 600-point grid, loads no scipy,
-    no numpy.ma and no link-budget module; satqlink.scenario stays an
-    unexecuted lazy module until a link command runs, and then resolves."""
+    """memory under every preset, on a 600-point grid, with optical windows
+    (the closed-form {P, S} window) and with a user-set transfer loads no
+    scipy, no numpy.ma and no link-budget module; satqlink.scenario stays
+    an unexecuted lazy module until a link command runs, and then
+    resolves."""
     script = f"""
 import sys
 import types
 from satqlink import cli
 out = {str(tmp_path)!r}
+small = ["--grid", "32", "--samples", "5"]
 for argv in (["--preset", "rescaled"], ["--preset", "lossless"],
-             ["--preset", "paper-literal", "--samples", "3"], ["--grid", "600", "--samples", "3"]):
+             ["--preset", "paper-literal", "--samples", "3"], ["--grid", "600", "--samples", "3"],
+             [*small, "--write-time", "1e-6", "--read-time", "1e-6", "--rabi", "1e6"],
+             [*small, "--exchange-window", "4"]):
     assert cli.main(["memory", "--out", out, *argv]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded

@@ -133,7 +133,7 @@ def test_phase_operator_matches_public_rhs():
     )
     state = sd.SpinFieldState(optical=p, alkali=s, noble=k)
     dp, ds, dk = references.rhs(state, ens, g, control_rabi=1.1, exchange_coupling=0.7)
-    a = sd._phase_operator(ens, g, 1.1, 0.7)
+    a = references.assemble(sd._phase_operator(ens, 1.1, 0.7), g)
     applied = a @ np.stack((p, s, k), axis=1)
     assert np.allclose(applied[:, 0], dp, rtol=1e-14, atol=0)
     assert np.allclose(applied[:, 1], ds, rtol=1e-14, atol=0)
@@ -143,7 +143,7 @@ def test_phase_operator_matches_public_rhs():
 def test_phase_operator_diffusion_blocks_match_laplacian():
     g = sd.RadialGrid(R, 32)
     f = np.random.default_rng(5).normal(size=32)
-    a = sd._phase_operator(diffusion_only(d_a=1.0, d_b=1.0), g, 0.0, 0.0)
+    a = references.assemble(sd._phase_operator(diffusion_only(d_a=1.0, d_b=1.0), 0.0, 0.0), g)
     for field, bc in ((1, "dirichlet"), (2, "neumann")):
         y = np.zeros((32, 3))
         y[:, field] = f
@@ -161,7 +161,7 @@ def test_real_band_is_the_phase_operator():
         alkali_detuning=0.3, noble_detuning=0.1,
         alkali_diffusion=1e-8, noble_diffusion=2e-8, optical_decay=0.5,
     )
-    a = sd._phase_operator(ens, g, 1.1, 0.7)
+    a = references.assemble(sd._phase_operator(ens, 1.1, 0.7), g)
     band, half = references.real_band(a)
     size = 6 * n
     dense = np.zeros((size, size))
@@ -316,7 +316,7 @@ def test_tolerance_refinement_consistency():
     # the LSODA reference at two tolerances, over both transfers of a
     # lossless protocol (its storage leaves the state as it is)
     g = sd.RadialGrid(R, 32)
-    transfer = sd._phase_operator(lossless(j=1.0), g, 0.0, 1.0)
+    transfer = references.assemble(sd._phase_operator(lossless(j=1.0), 0.0, 1.0), g)
     state = sd.initial_state(g)
     y0 = np.stack((state.optical, state.alkali, state.noble), axis=1)
 
@@ -332,50 +332,84 @@ def test_tolerance_refinement_consistency():
     assert np.max(np.abs(a - b)) / scale < 1e-6
 
 
+# (Omega, J) of a phase: storage switches neither coupling on, an optical
+# window only the control, a transfer only the exchange
+_COUPLINGS = st.one_of(
+    st.just((0.0, 0.0)),
+    st.tuples(st.floats(0.1, 3.0), st.just(0.0)),
+    st.tuples(st.just(0.0), st.floats(0.1, 3.0)),
+)
+
+
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(
     n=st.integers(16, 40),
     decays=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
     detunings=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
     diffusions=st.tuples(st.floats(0.0, 1e-6), st.floats(0.0, 1e-6)),
-    omega=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
-    j=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+    couplings=_COUPLINGS,
     duration=st.floats(1e-3, 2.0),
     seed=st.integers(0, 2 ** 32 - 1),
 )
 # a paper-literal transfer, a 100 us write window at 1e9 s^-1 and a transfer
 # without diffusion
 @example(n=16, decays=(2.0 * math.pi * 5.96e6, 3.1e-7, 0.0), detunings=(0.0, 1.11e-3),
-         diffusions=(1.02e-8, 2.05e-8), omega=0.0, j=2e-5, duration=math.pi / 4e-5, seed=0)
+         diffusions=(1.02e-8, 2.05e-8), couplings=(0.0, 2e-5), duration=math.pi / 4e-5, seed=0)
 @example(n=16, decays=(2.0 * math.pi * 5.96e6, 3.1e-7, 0.0), detunings=(0.0, 1.11e-3),
-         diffusions=(1.02e-8, 2.05e-8), omega=1e9, j=0.0, duration=1e-4, seed=1)
+         diffusions=(1.02e-8, 2.05e-8), couplings=(1e9, 0.0), duration=1e-4, seed=1)
 @example(n=32, decays=(0.0, 3.1e-7, 0.0), detunings=(0.0, 1.11e-3),
-         diffusions=(0.0, 0.0), omega=0.0, j=0.2, duration=math.pi / 0.4, seed=2)
-def test_propagators_agree_with_lsoda(n, decays, detunings, diffusions, omega, j, duration, seed):
-    # storage, transfers and optical windows (exact modal propagators) and a
-    # phase with both couplings, against LSODA on all three fields at once:
-    # the volume norm of the difference stays below 1e-8 of the initial one.
-    # LSODA runs at rtol 1e-12: at 1e-10 its own error on the paper-literal
-    # transfer reaches 3e-8 (against a 40-digit expm).
+         diffusions=(0.0, 0.0), couplings=(0.0, 0.2), duration=math.pi / 0.4, seed=2)
+def test_propagators_agree_with_lsoda(n, decays, detunings, diffusions, couplings, duration, seed):
+    # storage, transfers and optical windows (exact modal propagators)
+    # against LSODA on all three fields at once: the volume norm of the
+    # difference stays below 1e-8 of the initial one. LSODA runs at rtol
+    # 1e-12: at 1e-10 its own error on the paper-literal transfer reaches 3e-8
+    # (against a 40-digit expm).
+    omega, j = couplings
     g = sd.RadialGrid(R, n)
     ens = EnsembleParams(
         exchange_coupling=j, optical_decay=decays[0], alkali_decay=decays[1],
         noble_decay=decays[2], alkali_detuning=detunings[0], noble_detuning=detunings[1],
         alkali_diffusion=diffusions[0], noble_diffusion=diffusions[1],
     )
-    a = sd._phase_operator(ens, g, omega, j)
+    phase = sd._phase_operator(ens, omega, j)
     rng = np.random.default_rng(seed)
     y0 = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
     t0 = 1.0
     t_eval = t0 + duration * np.array([0.3, 0.7, 1.0])
-    exact = sd._propagate(a, g, y0, t0, t_eval, "phase")
-    stepped = references.lsoda_propagate(a, y0, t0, t_eval, 1e-12, 1e-14)
+    exact = sd._propagate(phase, g, y0, t0, t_eval, "phase")
+    stepped = references.lsoda_propagate(references.assemble(phase, g), y0, t0, t_eval, 1e-12, 1e-14)
 
     def volume_norm(y):
         return math.sqrt(np.sum(g.shell_volumes[:, None] * np.abs(y) ** 2))
 
     for got, want in zip(exact, stepped):
         assert volume_norm(got - want) <= 1e-8 * volume_norm(y0)
+
+
+def test_propagate_rejects_a_phase_with_both_couplings():
+    # no schedule phase switches on the control and the exchange together
+    g = sd.RadialGrid(R, 16)
+    phase = sd._phase_operator(lossless(j=1.0), 1.0, 1.0)
+    y0 = np.ones((16, 3), dtype=np.complex128)
+    with pytest.raises(ValueError, match="both the control and the exchange"):
+        sd._propagate(phase, g, y0, 0.0, np.array([1.0]), "phase 1 of 1")
+
+
+def test_norm1_is_the_largest_column_sum_of_the_assembled_operator():
+    # the negligible-phase check's ||A||_1, against the dense A column by column
+    n = 16
+    g = sd.RadialGrid(R, n)
+    ens = EnsembleParams(
+        exchange_coupling=0.7, alkali_decay=1e-3, noble_decay=2e-4,
+        alkali_detuning=0.3, noble_detuning=0.1,
+        alkali_diffusion=1e-8, noble_diffusion=2e-8, optical_decay=0.5,
+    )
+    for omega, j in ((0.0, 0.0), (1.1, 0.0), (0.0, 0.7)):
+        phase = sd._phase_operator(ens, omega, j)
+        a = references.assemble(phase, g)
+        dense = np.stack([(a @ unit.reshape(n, 3)).ravel() for unit in np.eye(3 * n)], axis=1)
+        assert sd._norm1(phase, g) == pytest.approx(np.abs(dense).sum(axis=0).max(), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
