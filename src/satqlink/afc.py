@@ -48,14 +48,13 @@ class AFCParams:
 
 @dataclass(frozen=True)
 class ControlPulse:
-    """Optical control window T, Rabi frequency and exchange window T'."""
+    """Optical control window T and Rabi frequency of the write and read."""
 
     duration: float = 0.0
     rabi_frequency: float = 0.0
-    exchange_duration: float = 0.0
 
     def __post_init__(self):
-        if not all(x >= 0.0 for x in (self.duration, self.rabi_frequency, self.exchange_duration)):
+        if not all(x >= 0.0 for x in (self.duration, self.rabi_frequency)):
             raise ValueError("pulse parameters must be non-negative")
 
 

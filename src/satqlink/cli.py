@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import gc
-import importlib.util
+import importlib
 import math
 import sys
 from pathlib import Path
@@ -21,28 +21,17 @@ from . import config as cfgmod
 from .config import ConfigError, ENSEMBLE_PRESETS, INITIAL_PROFILES
 
 
-def _lazy_submodule(name: str):
-    """The package's submodule ``name``, executed on first attribute access.
-
-    The module is registered in ``sys.modules`` and on the package at once,
-    so ``satqlink.spindyn`` and ``satqlink.scenario`` resolve as usual, but
-    their code runs only when a command first uses them: ``memory`` loads no
-    link-budget module, and the link commands load no numpy.
-    """
-    fullname = f"{__package__}.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    setattr(sys.modules[__package__], name, module)
-    spec.loader.exec_module(module)
-    return module
+def _package_getattr(name: str):
+    """The package's module ``__getattr__`` (PEP 562): the benchmark tracer
+    reads ``satqlink.scenario`` and ``satqlink.spindyn`` also where no
+    command imported them. Every command compiles this module anyway; in
+    ``__init__.py`` the hook would add about 0.1 ms to ``import satqlink``."""
+    if name in ("scenario", "spindyn"):
+        return importlib.import_module(f"{__package__}.{name}")
+    raise AttributeError(f"module {__package__!r} has no attribute {name!r}")
 
 
-scn = _lazy_submodule("scenario")
-spindyn = _lazy_submodule("spindyn")
+sys.modules[__package__].__getattr__ = _package_getattr
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -184,6 +173,8 @@ def _axis(name: str, lo: float, hi: float, steps: int) -> list[float]:
 
 
 def _cmd_scenario(args, cfg: cfgmod.RunConfig, out: Path) -> int:
+    from . import scenario as scn
+
     result = scn.compare_scenarios(cfgmod.scenario_config(cfg))
     if args.format == "markdown":
         (out / "scenario.md").write_text(scn.markdown_comparison(result), encoding="utf-8")
@@ -199,6 +190,8 @@ def _cmd_scenario(args, cfg: cfgmod.RunConfig, out: Path) -> int:
 
 
 def _cmd_linkmap(args, cfg: cfgmod.RunConfig, out: Path) -> int:
+    from . import scenario as scn
+
     ranges = _axis("range axis", args.range_min, args.range_max, args.range_steps)
     jitters = _axis("jitter axis", args.jitter_min * 1e-6, args.jitter_max * 1e-6, args.jitter_steps)
     grid = scn.downlink_probability_map(ranges, jitters, cfgmod.scenario_config(cfg))
@@ -209,6 +202,8 @@ def _cmd_linkmap(args, cfg: cfgmod.RunConfig, out: Path) -> int:
 
 
 def _cmd_gainmap(args, cfg: cfgmod.RunConfig, out: Path) -> int:
+    from . import scenario as scn
+
     elevations = _axis(
         "elevation axis", math.radians(args.elev_min), math.radians(args.elev_max), args.elev_steps
     )
@@ -221,6 +216,8 @@ def _cmd_gainmap(args, cfg: cfgmod.RunConfig, out: Path) -> int:
 
 
 def _cmd_memory(args, cfg: cfgmod.RunConfig, out: Path) -> int:
+    from . import spindyn
+
     ens = cfgmod.ensemble_params(cfg, preset=args.preset)
     schedule = spindyn.ProtocolSchedule(
         write_time=args.write_time,

@@ -193,7 +193,6 @@ def ensemble_params(cfg: RunConfig, preset: str) -> EnsembleParams:
         noble_detuning=det_k,
         alkali_diffusion=diff_a,
         noble_diffusion=diff_b,
-        cell_radius=cfg.cell_radius_m,
         optical_decay=decay_p,
     )
 

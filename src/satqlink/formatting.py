@@ -9,21 +9,19 @@ from __future__ import annotations
 
 __all__ = ["csv_float", "csv_floats", "csv_block", "table_float", "config_value"]
 
-_CSV_SPEC = ".17g"
-_CSV_TEMPLATE = "%" + _CSV_SPEC
+_CSV_TEMPLATE = "%.17g"
 
 
 def csv_float(x: float) -> str:
     """Full-precision float for machine-readable output."""
-    return format(x, _CSV_SPEC)
+    return _CSV_TEMPLATE % x
 
 
 def csv_floats(values) -> list[str]:
     """``csv_float`` of every value; pass ``ndarray.tolist()`` for speed.
 
-    ``"%.17g" % x`` and ``format(x, ".17g")`` both end in CPython's
-    ``PyOS_double_to_string(x, 'g', 17)``, so they give the same text; the
-    bound ``%`` method mapped in C skips a Python frame per value.
+    The template's bound ``%`` method, mapped in C, skips a Python frame per
+    value.
     """
     return list(map(_CSV_TEMPLATE.__mod__, values))
 

@@ -41,6 +41,8 @@ class OrbitalConfig:
             raise ValueError("altitude must be non-negative")
         if not self.gravitational_parameter > 0.0:
             raise ValueError("gravitational_parameter must be positive")
+        if math.inf in (self.earth_radius, self.altitude, self.gravitational_parameter):
+            raise ValueError("orbit parameters must be finite")
 
     @property
     def orbit_radius(self) -> float:
@@ -92,5 +94,7 @@ def buffer_time(ogs_separation: float, orbit: OrbitalConfig) -> float:
     """
     if not (ogs_separation >= 0.0):
         raise ValueError("ogs_separation must be non-negative")
+    if ogs_separation == math.inf:
+        raise ValueError("ogs_separation must be finite")
     ground_speed = 2.0 * math.pi * orbit.earth_radius / orbital_period(orbit)
     return ogs_separation / ground_speed

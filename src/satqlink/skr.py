@@ -113,4 +113,6 @@ def feasibility(memory_lifetime: float, buffer_interval: float) -> bool:
     """Whether the memory lives long enough to bridge the buffer interval."""
     if not (memory_lifetime >= 0.0 and buffer_interval >= 0.0):
         raise ValueError("times must be non-negative")
+    if math.inf in (memory_lifetime, buffer_interval):
+        raise ValueError("times must be finite")
     return memory_lifetime >= buffer_interval

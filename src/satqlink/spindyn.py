@@ -93,7 +93,8 @@ class SolverFailure(RuntimeError):
 class EnsembleParams:
     """Hybrid-cell ensemble parameters for the spin dynamics.
 
-    Rates are s^-1, diffusion constants m^2/s and the cell radius m.
+    Rates are s^-1 and diffusion constants m^2/s. The cell radius is the
+    radius of the ``RadialGrid`` the fields are solved on.
     """
 
     exchange_coupling: float = 2.00e-5   # alkali/noble coherent coupling J
@@ -103,7 +104,6 @@ class EnsembleParams:
     noble_detuning: float = 1.11e-3
     alkali_diffusion: float = 1.02e-8
     noble_diffusion: float = 2.05e-8
-    cell_radius: float = 0.01
     optical_decay: float = 2.0 * math.pi * 5.96e6
 
     def __post_init__(self):
@@ -117,8 +117,6 @@ class EnsembleParams:
         ):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative")
-        if not self.cell_radius > 0.0:
-            raise ValueError("cell_radius must be positive")
         if not (math.isfinite(self.alkali_detuning) and math.isfinite(self.noble_detuning)):
             raise ValueError("detunings must be finite")
 
@@ -230,6 +228,9 @@ class ProtocolSchedule:
             raise ValueError("rabi_frequency must be non-negative")
         if self.exchange_window is not None and not self.exchange_window >= 0.0:
             raise ValueError("exchange_window must be non-negative")
+        if math.inf in (self.write_time, self.dark_interval, self.read_time,
+                        self.rabi_frequency, self.exchange_window):
+            raise ValueError("schedule values must be finite")
 
     def resolve_exchange_window(self, ens: EnsembleParams) -> float:
         if self.exchange_window is not None:
@@ -258,8 +259,6 @@ class ProtocolResult:
     kymograph_alkali: np.ndarray   # (nt, nr), |S|^2 normalized to the initial peak
     kymograph_noble: np.ndarray    # (nt, nr), |K|^2 normalized likewise
     eta_mem: float
-    retrieval_time: float
-    trajectory: Trajectory
 
 
 def initial_state(grid: RadialGrid, profile: str = "uniform") -> SpinFieldState:
@@ -654,8 +653,6 @@ def simulate_protocol(
         kymograph_alkali=np.abs(traj.alkali) ** 2 / peak0,
         kymograph_noble=np.abs(traj.noble) ** 2 / peak0,
         eta_mem=eta,
-        retrieval_time=t_ret,
-        trajectory=traj,
     )
 
 

@@ -64,5 +64,3 @@ def test_total_memory_efficiency():
 def test_ensemble_params_validation():
     with pytest.raises(ValueError):
         EnsembleParams(exchange_coupling=-1.0)
-    with pytest.raises(ValueError):
-        EnsembleParams(cell_radius=0.0)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -453,14 +454,21 @@ def _integrate_with_sample_times(times):
     lambda: geometry.elevation_from_slant_range(math.nan, OrbitalConfig()),
     lambda: geometry.elevation_from_slant_range(math.inf, OrbitalConfig()),
     lambda: geometry.buffer_time(math.nan, OrbitalConfig()),
+    lambda: geometry.buffer_time(math.inf, OrbitalConfig()),
+    lambda: OrbitalConfig(altitude=math.inf),
     lambda: skr.feasibility(math.nan, 1.0),
     lambda: skr.feasibility(1.0, math.nan),
+    lambda: skr.feasibility(math.inf, math.inf),
+    lambda: spindyn.ProtocolSchedule(dark_interval=math.inf),
     lambda: _integrate_with_sample_times([0.0, math.nan, 1.0]),
 ], ids=["elevation_from_slant_range-nan", "elevation_from_slant_range-inf", "buffer_time-nan",
-        "feasibility-lifetime-nan", "feasibility-interval-nan", "integrate-sample-nan"])
+        "buffer_time-inf", "OrbitalConfig-altitude-inf", "feasibility-lifetime-nan",
+        "feasibility-interval-nan", "feasibility-inf", "ProtocolSchedule-dark_interval-inf",
+        "integrate-sample-nan"])
 def test_public_scalar_api_rejects_nan_and_inf(call):
     # the command line checks every flag and key for finiteness; a library
-    # caller gets a ValueError instead of zenith, NaN, False or a dropped sample
+    # caller gets a ValueError instead of zenith, NaN, inf, a vacuous True or
+    # False, a dropped sample, or a crash further down
     with pytest.raises(ValueError):
         call()
 
@@ -500,6 +508,44 @@ def test_every_public_name_has_a_caller_in_src():
     assert sorted(public - referred) == sorted(_UNREFERENCED_IN_SRC)
 
 
+# Dataclass fields that src/ reads only in their own class's __post_init__,
+# each with the reason it stays.
+_FIELDS_READ_ONLY_IN_VALIDATION = {
+    "AFCParams.homogeneous_linewidth",  # the comb wash-out warning
+}
+
+
+def test_every_dataclass_field_is_read_in_src():
+    """Every field of a ``@dataclass`` in src/satqlink is read as an attribute
+    somewhere in src/ outside its own class's ``__post_init__``, or is one of
+    the commented exceptions: no field is state that no formula, artifact or
+    message reads.
+
+    The scan matches attribute names, not owners: a field passes when any
+    attribute of its name is read. ``EnsembleParams.cell_radius``, which no
+    code read, passed this way because ``RadialGrid.cell_radius`` is read."""
+    trees = [ast.parse(path.read_text()) for path in Path(satqlink.__file__).parent.glob("*.py")]
+
+    def reads(node) -> Counter:
+        return Counter(n.attr for n in ast.walk(node)
+                       if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+    everywhere = sum((reads(tree) for tree in trees), Counter())
+    unread = []
+    for tree in trees:
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in cls.decorator_list)):
+                continue
+            validation = sum((reads(f) for f in cls.body
+                              if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"),
+                             Counter())
+            unread += [f"{cls.name}.{f.target.id}" for f in cls.body
+                       if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                       and everywhere[f.target.id] <= validation[f.target.id]]
+    assert sorted(unread) == sorted(_FIELDS_READ_ONLY_IN_VALIDATION)
+
+
 def _run_script(script: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src_dir = Path(__file__).resolve().parents[1] / "src"
@@ -508,34 +554,33 @@ def _run_script(script: str) -> subprocess.CompletedProcess:
 
 
 def test_link_commands_load_no_scipy(tmp_path):
-    """scenario, linkmap and gainmap go without importing numpy or scipy;
-    satqlink.spindyn resolves on the package from the start, and numpy is
-    loaded once memory runs through that module. A short memory run loads no
-    scipy. In-process ``main`` calls leave the heap unfrozen; the process
-    entry returns a usage error's exit code and freezes it."""
+    """scenario, linkmap and gainmap go without importing numpy, scipy or
+    satqlink.spindyn; once satqlink.cli is imported, the package resolves
+    satqlink.spindyn on first access, memory runs through that module, and
+    a short memory run loads no scipy. Any other missing name is an
+    AttributeError. In-process ``main`` calls
+    leave the heap unfrozen; the process entry returns a usage error's exit
+    code and freezes it."""
     script = f"""
 import gc
 import sys
-import types
 import satqlink
 assert "numpy" not in sys.modules
 from satqlink import cli
 frozen = gc.get_freeze_count()
-lazy = satqlink.spindyn
-assert isinstance(lazy, types.ModuleType)
-assert sys.modules["satqlink.spindyn"] is lazy and cli.spindyn is lazy
 out = {str(tmp_path)!r}
 for argv in (["scenario"], ["linkmap"], ["gainmap"]):
     assert cli.main([*argv, "--out", out]) == 0
 loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
 assert not loaded, loaded
-memory = ["memory", "--grid", "32", "--storage", "1", "--samples", "5", "--out", out]
-assert cli.main(memory) == 0
-assert "numpy" in sys.modules
-assert satqlink.spindyn is lazy and sys.modules["satqlink.spindyn"] is lazy
+assert "satqlink.spindyn" not in sys.modules
+spindyn = satqlink.spindyn
+assert sys.modules["satqlink.spindyn"] is spindyn and "numpy" in sys.modules
+assert not hasattr(satqlink, "nope")
 calls = []
-solve = lazy.simulate_protocol
-lazy.simulate_protocol = lambda *a, **k: calls.append(1) or solve(*a, **k)
+solve = spindyn.simulate_protocol
+spindyn.simulate_protocol = lambda *a, **k: calls.append(1) or solve(*a, **k)
+memory = ["memory", "--grid", "32", "--storage", "1", "--samples", "5", "--out", out]
 assert cli.main(memory) == 0
 assert calls == [1]
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -577,12 +622,11 @@ assert not missing, missing
 def test_memory_loads_no_scipy(tmp_path):
     """memory under every preset, on a 600-point grid, with optical windows
     (the closed-form {P, S} window) and with a user-set transfer loads no
-    scipy, no numpy.ma and no link-budget module; satqlink.scenario stays
-    an unexecuted lazy module until a link command runs, and then
-    resolves."""
+    scipy, no numpy.ma and no link-budget module; satqlink.scenario is
+    imported only when a link command runs."""
     script = f"""
 import sys
-import types
+import satqlink
 from satqlink import cli
 out = {str(tmp_path)!r}
 small = ["--grid", "32", "--samples", "5"]
@@ -593,16 +637,13 @@ for argv in (["--preset", "rescaled"], ["--preset", "lossless"],
     assert cli.main(["memory", "--out", out, *argv]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
-# a lazy module is a ModuleType subclass until its code has run
 link = ("numpy.ma", "satqlink.scenario", "satqlink.linkbudget", "satqlink.geometry", "satqlink.afc")
-loaded = [m for m in link if type(sys.modules.get(m)) is types.ModuleType]
+loaded = [m for m in link if m in sys.modules]
 assert not loaded, loaded
-lazy = sys.modules["satqlink.scenario"]
-assert cli.scn is lazy
 for argv in (["scenario"], ["linkmap"]):
     assert cli.main([*argv, "--out", out]) == 0
-assert type(lazy) is types.ModuleType and lazy.ScenarioConfig
-assert sys.modules["satqlink.scenario"] is lazy and "satqlink.linkbudget" in sys.modules
+assert satqlink.scenario is sys.modules["satqlink.scenario"]
+assert "satqlink.linkbudget" in sys.modules
 """
     cp = _run_script(script)
     assert cp.returncode == 0, cp.stderr

@@ -152,10 +152,12 @@ def test_non_finite_float_values_are_rejected(raw):
 
 
 def _built(cfg: cm.RunConfig) -> tuple:
-    """Everything the builders the CLI calls make from one RunConfig."""
+    """Everything the builders the CLI calls make from one RunConfig, and the
+    grid that ``memory`` builds from it (by its repr: grids have no ``==``)."""
     return (
         cm.scenario_config(cfg),
         *(cm.ensemble_params(cfg, preset) for preset in cm.ENSEMBLE_PRESETS),
+        repr(RadialGrid(cfg.cell_radius_m, 16)),
     )
 
 
