@@ -11,6 +11,8 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .domain import NON_NEGATIVE, POSITIVE, require, require_fields
+
 if TYPE_CHECKING:
     from .spindyn import EnsembleParams
 
@@ -34,10 +36,10 @@ class AFCParams:
     homogeneous_linewidth: float = 5.96e6
 
     def __post_init__(self):
-        if not self.total_bandwidth >= self.tooth_spacing >= self.tooth_width > 0.0:
-            raise ValueError("require total_bandwidth >= tooth_spacing >= tooth_width > 0")
-        if not self.homogeneous_linewidth >= 0.0:
-            raise ValueError("homogeneous_linewidth must be non-negative")
+        require_fields(self, POSITIVE, "total_bandwidth", "tooth_spacing", "tooth_width")
+        require_fields(self, NON_NEGATIVE, "homogeneous_linewidth")
+        if not self.total_bandwidth >= self.tooth_spacing >= self.tooth_width:
+            raise ValueError("require total_bandwidth >= tooth_spacing >= tooth_width")
         if self.tooth_width < 2.0 * self.homogeneous_linewidth:
             warnings.warn(
                 "tooth_width below twice the homogeneous linewidth; "
@@ -54,30 +56,24 @@ class ControlPulse:
     rabi_frequency: float = 0.0
 
     def __post_init__(self):
-        if not all(x >= 0.0 for x in (self.duration, self.rabi_frequency)):
-            raise ValueError("pulse parameters must be non-negative")
+        require_fields(self, NON_NEGATIVE, "duration", "rabi_frequency")
 
 
 def finesse(afc: AFCParams) -> float:
     """Comb finesse: tooth spacing over tooth width."""
-    if afc.tooth_width <= 0.0:
-        raise ValueError("tooth_width must be positive")
     return afc.tooth_spacing / afc.tooth_width
 
 
 def multimode_capacity(total_bandwidth: float, tooth_spacing: float) -> int:
     """Number of temporal modes storable per cycle: floor(2*bandwidth / (5*spacing))."""
-    if tooth_spacing <= 0.0:
-        raise ValueError("tooth_spacing must be positive")
-    if total_bandwidth < 0.0:
-        raise ValueError("total_bandwidth must be non-negative")
+    require(POSITIVE, tooth_spacing=tooth_spacing)
+    require(NON_NEGATIVE, total_bandwidth=total_bandwidth)
     return math.floor(2.0 * total_bandwidth / (5.0 * tooth_spacing))
 
 
 def comb_dephasing_factor(finesse_value: float) -> float:
     """Comb dephasing loss sinc^2(pi / F); approaches 1 for a sharp comb."""
-    if finesse_value <= 0.0:
-        raise ValueError("finesse must be positive")
+    require(POSITIVE, finesse=finesse_value)
     x = math.pi / finesse_value
     return (math.sin(x) / x) ** 2
 

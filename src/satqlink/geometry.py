@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .domain import ELEVATION, NON_NEGATIVE, POSITIVE, require, require_fields
+
 __all__ = [
     "OrbitalConfig",
     "slant_range_from_elevation",
@@ -35,14 +37,8 @@ class OrbitalConfig:
     gravitational_parameter: float = 398600.0
 
     def __post_init__(self):
-        if not self.earth_radius > 0.0:
-            raise ValueError("earth_radius must be positive")
-        if not self.altitude >= 0.0:
-            raise ValueError("altitude must be non-negative")
-        if not self.gravitational_parameter > 0.0:
-            raise ValueError("gravitational_parameter must be positive")
-        if math.inf in (self.earth_radius, self.altitude, self.gravitational_parameter):
-            raise ValueError("orbit parameters must be finite")
+        require_fields(self, POSITIVE, "earth_radius", "gravitational_parameter")
+        require_fields(self, NON_NEGATIVE, "altitude")
 
     @property
     def orbit_radius(self) -> float:
@@ -55,8 +51,7 @@ def slant_range_from_elevation(theta: float, orbit: OrbitalConfig) -> float:
 
     Valid for 0 < theta <= pi/2; returns altitude exactly at zenith.
     """
-    if not 0.0 < theta <= math.pi / 2.0:
-        raise ValueError("elevation must lie in (0, pi/2]")
+    require(ELEVATION, elevation=theta)
     r_e = orbit.earth_radius
     h = orbit.altitude
     s = r_e * math.sin(theta)
@@ -69,8 +64,7 @@ def elevation_from_slant_range(l: float, orbit: OrbitalConfig) -> float:
     Defined for l between the altitude (zenith) and the horizon range
     sqrt(orbit_radius^2 - earth_radius^2).
     """
-    if not (l > 0.0):
-        raise ValueError("slant range must be positive")
+    require(POSITIVE, slant_range=l)
     r_e = orbit.earth_radius
     r_s = orbit.orbit_radius
     arg = (r_s * r_s - r_e * r_e - l * l) / (2.0 * l * r_e)
@@ -92,9 +86,6 @@ def buffer_time(ogs_separation: float, orbit: OrbitalConfig) -> float:
     Arc distance between the stations divided by the ground-track speed
     2*pi*earth_radius / period.
     """
-    if not (ogs_separation >= 0.0):
-        raise ValueError("ogs_separation must be non-negative")
-    if ogs_separation == math.inf:
-        raise ValueError("ogs_separation must be finite")
+    require(NON_NEGATIVE, ogs_separation=ogs_separation)
     ground_speed = 2.0 * math.pi * orbit.earth_radius / orbital_period(orbit)
     return ogs_separation / ground_speed

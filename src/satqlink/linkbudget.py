@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .domain import ELEVATION, NON_NEGATIVE, POSITIVE, PROBABILITY, TRANSMISSION, require, require_fields
+
 __all__ = [
     "OpticalLinkParams",
     "atmospheric_transmission",
@@ -42,16 +44,10 @@ class OpticalLinkParams:
     detector_efficiency: float = 0.70
 
     def __post_init__(self):
-        if not (self.wavelength > 0.0 and self.divergence_half_angle > 0.0):
-            raise ValueError("wavelength and divergence_half_angle must be positive")
-        if not self.pointing_jitter_rms >= 0.0:
-            raise ValueError("pointing_jitter_rms must be non-negative")
-        if not self.receiver_radius > 0.0:
-            raise ValueError("receiver_radius must be positive")
-        if not 0.0 < self.zenith_transmission <= 1.0:
-            raise ValueError("zenith_transmission must lie in (0, 1]")
-        if not 0.0 <= self.detector_efficiency <= 1.0:
-            raise ValueError("detector_efficiency must lie in [0, 1]")
+        require_fields(self, POSITIVE, "wavelength", "divergence_half_angle", "receiver_radius")
+        require_fields(self, NON_NEGATIVE, "pointing_jitter_rms")
+        require_fields(self, TRANSMISSION, "zenith_transmission")
+        require_fields(self, PROBABILITY, "detector_efficiency")
 
     @property
     def beam_waist(self) -> float:
@@ -65,17 +61,14 @@ def atmospheric_transmission(theta: float, zenith_transmission: float) -> float:
     Air-mass scaling: zenith transmission raised to 1/sin(theta). Diverges
     toward the horizon, so theta must lie in (0, pi/2].
     """
-    if not (0.0 < theta <= math.pi / 2.0):
-        raise ValueError("elevation must lie in (0, pi/2]")
-    if not (0.0 < zenith_transmission <= 1.0):
-        raise ValueError("zenith_transmission must lie in (0, 1]")
+    require(ELEVATION, elevation=theta)
+    require(TRANSMISSION, zenith_transmission=zenith_transmission)
     return zenith_transmission ** (1.0 / math.sin(theta))
 
 
 def beam_radius(z: float, params: OpticalLinkParams) -> float:
     """Gaussian beam radius w(z) (m) a distance z (m) from the waist."""
-    if not (z >= 0.0):
-        raise ValueError("propagation distance must be non-negative")
+    require(NON_NEGATIVE, propagation_distance=z)
     return math.hypot(params.beam_waist, params.divergence_half_angle * z)
 
 
@@ -84,8 +77,7 @@ def _collected_row(scale: float, l: float, params: OpticalLinkParams, jitters) -
 
     The beam radius is computed once; only the jitter term is per value.
     """
-    if not (l > 0.0):
-        raise ValueError("range must be positive")
+    require(POSITIVE, slant_range=l)
     half_w = beam_radius(l, params) / 2.0
     r = params.receiver_radius
     return [

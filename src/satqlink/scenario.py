@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import geometry, linkbudget, skr
+from .domain import ELEVATION, NON_NEGATIVE, POSITIVE, PROBABILITY, Domain, require, require_fields
 from .formatting import csv_block, csv_float, csv_floats, table_float
 from .geometry import OrbitalConfig
 from .linkbudget import OpticalLinkParams
@@ -51,14 +52,10 @@ class ScenarioConfig:
     eta_mem: float = 0.74
 
     def __post_init__(self):
-        if not (self.dual_slant_range > 0.0 and self.buffered_slant_range > 0.0):
-            raise ValueError("slant ranges must be positive")
-        if not 0.0 < self.dual_elevation <= math.pi / 2.0:
-            raise ValueError("dual_elevation must lie in (0, pi/2]")
-        if not self.ogs_separation >= 0.0:
-            raise ValueError("ogs_separation must be non-negative")
-        if not 0.0 <= self.eta_mem <= 1.0:
-            raise ValueError("eta_mem must lie in [0, 1]")
+        require_fields(self, POSITIVE, "dual_slant_range", "buffered_slant_range")
+        require_fields(self, ELEVATION, "dual_elevation")
+        require_fields(self, NON_NEGATIVE, "ogs_separation")
+        require_fields(self, PROBABILITY, "eta_mem")
 
 
 @dataclass(frozen=True)
@@ -137,8 +134,8 @@ def downlink_probability_map(range_axis_km, jitter_axis_rad, cfg: ScenarioConfig
     range at the configured altitude; the memory is excluded. Axes must be
     ascending; ranges must lie between zenith (altitude) and the horizon.
     """
-    ranges = _checked_axis("range_axis_km", range_axis_km)
-    jitters = _checked_axis("jitter_axis_rad", jitter_axis_rad, allow_zero=True)
+    ranges = _checked_axis("range_axis_km", range_axis_km, POSITIVE)
+    jitters = _checked_axis("jitter_axis_rad", jitter_axis_rad, NON_NEGATIVE)
     return Grid(
         linkbudget.link_efficiency_row(
             geometry.elevation_from_slant_range(l, cfg.orbit), l * KM, cfg.link, jitters
@@ -157,8 +154,8 @@ def gain_map(elevation_axis_rad, eta_mem_axis, cfg: ScenarioConfig) -> Grid:
     ``ScenarioConfig`` accepts for ``eta_mem``. Raises ValueError when the
     dual-downlink probability is zero, exactly as ``compare_scenarios`` does.
     """
-    elevations = _checked_axis("elevation_axis_rad", elevation_axis_rad)
-    memories = _checked_axis("eta_mem_axis", eta_mem_axis, allow_zero=True, high=1.0)
+    elevations = _checked_axis("elevation_axis_rad", elevation_axis_rad, ELEVATION)
+    memories = _checked_axis("eta_mem_axis", eta_mem_axis, PROBABILITY)
     arm_dual = _dual_arm(cfg)
     rows = Grid()
     for theta in elevations:
@@ -169,18 +166,15 @@ def gain_map(elevation_axis_rad, eta_mem_axis, cfg: ScenarioConfig) -> Grid:
     return rows
 
 
-def _checked_axis(name: str, axis, allow_zero: bool = False, high: float = math.inf) -> list[float]:
+def _checked_axis(name: str, axis, domain: Domain) -> list[float]:
     try:
         values = [float(x) for x in axis]
-    except TypeError:
+        ends = {f"{name}[0]": values[0], f"{name}[-1]": values[-1]}
+    except (TypeError, IndexError):
         raise ValueError(f"{name} must be a non-empty 1-D axis") from None
-    if not values:
-        raise ValueError(f"{name} must be a non-empty 1-D axis")
     if not all(a < b for a, b in zip(values, values[1:])):
         raise ValueError(f"{name} must be strictly ascending")
-    low = 0.0 if allow_zero else math.nextafter(0.0, 1.0)
-    if not (values[0] >= low and values[-1] <= high):
-        raise ValueError(f"{name} values out of range")
+    require(domain, **ends)
     return values
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .domain import NON_NEGATIVE, POSITIVE, PROBABILITY, Domain, require, require_fields
+
 __all__ = [
     "CALIBRATED_QBER",
     "QKDParams",
@@ -41,25 +43,18 @@ class QKDParams:
     memory_lifetime: float = 463.0    # s
 
     def __post_init__(self):
-        if not self.channel_use_rate > 0.0:
-            raise ValueError("channel_use_rate must be positive")
-        for name in ("qber_x", "qber_z"):
-            if not 0.0 <= getattr(self, name) <= 0.5:
-                raise ValueError(f"{name} must lie in [0, 0.5]")
-        if not self.ec_inefficiency >= 1.0:
-            raise ValueError("ec_inefficiency must be at least 1")
-        if not 0.0 <= self.herald_probability <= 1.0:
-            raise ValueError("herald_probability must lie in [0, 1]")
+        require_fields(self, POSITIVE, "channel_use_rate")
+        require_fields(self, Domain("in [0, 0.5]", 0.0, 0.5), "qber_x", "qber_z")
+        require_fields(self, Domain("at least 1 and finite", 1.0), "ec_inefficiency")
+        require_fields(self, PROBABILITY, "herald_probability")
         if self.mode_count < 1:
             raise ValueError("mode_count must be at least 1")
-        if not self.memory_lifetime >= 0.0:
-            raise ValueError("memory_lifetime must be non-negative")
+        require_fields(self, NON_NEGATIVE, "memory_lifetime")
 
 
 def binary_entropy(e: float) -> float:
     """Binary entropy h(e) in bits, continuously extended to h(0) = h(1) = 0."""
-    if not 0.0 <= e <= 1.0:
-        raise ValueError("probability must lie in [0, 1]")
+    require(PROBABILITY, probability=e)
     if e == 0.0 or e == 1.0:
         return 0.0
     return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
@@ -72,8 +67,7 @@ def key_bracket(q: QKDParams) -> float:
 
 def key_fraction(yield_probability: float, q: QKDParams) -> float:
     """Secret bits per channel use, clamped at zero above the error threshold."""
-    if not 0.0 <= yield_probability <= 1.0:
-        raise ValueError("yield must lie in [0, 1]")
+    require(PROBABILITY, yield_probability=yield_probability)
     return max(0.0, 0.5 * yield_probability * key_bracket(q))
 
 
@@ -82,16 +76,9 @@ def instantaneous_skr(q: QKDParams, yield_probability: float) -> float:
     return q.channel_use_rate * q.mode_count * key_fraction(yield_probability, q)
 
 
-def _check_probability(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1]")
-
-
 def yield_dual(eta_a: float, eta_b: float, herald_probability: float = 1.0) -> float:
     """Per-use yield of simultaneous downlinks to two stations."""
-    _check_probability("eta_a", eta_a)
-    _check_probability("eta_b", eta_b)
-    _check_probability("herald_probability", herald_probability)
+    require(PROBABILITY, eta_a=eta_a, eta_b=eta_b, herald_probability=herald_probability)
     return herald_probability * eta_a * eta_b
 
 
@@ -102,17 +89,12 @@ def yield_buffered(
     herald_probability: float = 1.0,
 ) -> float:
     """Per-use yield of sequential overhead downlinks bridged by storage."""
-    _check_probability("eta_first", eta_first)
-    _check_probability("eta_second", eta_second)
-    _check_probability("memory_efficiency", memory_efficiency)
-    _check_probability("herald_probability", herald_probability)
+    require(PROBABILITY, eta_first=eta_first, eta_second=eta_second,
+            memory_efficiency=memory_efficiency, herald_probability=herald_probability)
     return herald_probability * memory_efficiency * eta_first * eta_second
 
 
 def feasibility(memory_lifetime: float, buffer_interval: float) -> bool:
     """Whether the memory lives long enough to bridge the buffer interval."""
-    if not (memory_lifetime >= 0.0 and buffer_interval >= 0.0):
-        raise ValueError("times must be non-negative")
-    if math.inf in (memory_lifetime, buffer_interval):
-        raise ValueError("times must be finite")
+    require(NON_NEGATIVE, memory_lifetime=memory_lifetime, buffer_interval=buffer_interval)
     return memory_lifetime >= buffer_interval

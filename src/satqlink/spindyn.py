@@ -49,7 +49,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import INITIAL_PROFILES
+from .config import INITIAL_PROFILES, ConfigError
+from .domain import FINITE, NON_NEGATIVE, POSITIVE, Domain, require, require_fields
 from .formatting import csv_block, csv_floats
 
 __all__ = [
@@ -79,6 +80,10 @@ __all__ = [
 _TALBOT_NODES = 32
 _CONTOUR_SPAN = 1.5
 
+# Contour steps are taken one by one (about 55 us each at n = 256), so a transfer
+# of more steps is refused up front; the rescaled default takes 3, paper-literal 61.
+_MAX_CONTOUR_STEPS = 100_000
+
 # A phase that rounds away in its start time is skipped when exp(duration A)
 # moves the state by at most this fraction of its norm; a phase that would
 # move it further is an error.
@@ -107,18 +112,9 @@ class EnsembleParams:
     optical_decay: float = 2.0 * math.pi * 5.96e6
 
     def __post_init__(self):
-        for name in (
-            "exchange_coupling",
-            "alkali_decay",
-            "noble_decay",
-            "alkali_diffusion",
-            "noble_diffusion",
-            "optical_decay",
-        ):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be non-negative")
-        if not (math.isfinite(self.alkali_detuning) and math.isfinite(self.noble_detuning)):
-            raise ValueError("detunings must be finite")
+        require_fields(self, NON_NEGATIVE, "exchange_coupling", "alkali_decay", "noble_decay",
+                       "alkali_diffusion", "noble_diffusion", "optical_decay")
+        require_fields(self, FINITE, "alkali_detuning", "noble_detuning")
 
 
 class RadialGrid:
@@ -131,8 +127,7 @@ class RadialGrid:
     """
 
     def __init__(self, cell_radius: float, point_count: int):
-        if not cell_radius > 0.0:
-            raise ValueError("cell_radius must be positive")
+        require(POSITIVE, cell_radius=cell_radius)
         if point_count < 16:
             raise ValueError("point_count must be at least 16")
         self.cell_radius = float(cell_radius)
@@ -222,15 +217,9 @@ class ProtocolSchedule:
     exchange_window: float | None = None
 
     def __post_init__(self):
-        if not all(d >= 0.0 for d in (self.write_time, self.dark_interval, self.read_time)):
-            raise ValueError("schedule durations must be non-negative")
-        if not self.rabi_frequency >= 0.0:
-            raise ValueError("rabi_frequency must be non-negative")
-        if self.exchange_window is not None and not self.exchange_window >= 0.0:
-            raise ValueError("exchange_window must be non-negative")
-        if math.inf in (self.write_time, self.dark_interval, self.read_time,
-                        self.rabi_frequency, self.exchange_window):
-            raise ValueError("schedule values must be finite")
+        require_fields(self, NON_NEGATIVE, "write_time", "dark_interval", "read_time", "rabi_frequency")
+        if self.exchange_window is not None:
+            require_fields(self, NON_NEGATIVE, "exchange_window")
 
     def resolve_exchange_window(self, ens: EnsembleParams) -> float:
         if self.exchange_window is not None:
@@ -414,6 +403,14 @@ def _contour_step(blocks: np.ndarray, wall, h: float):
     return lambda x: (diagonal @ x[:, :, None])[:, :, 0] - (towards.T @ (away @ x.ravel())).reshape(n, g)
 
 
+def _longest_contour_step(local: np.ndarray):
+    """The longest contour step h of a coupled group: h (spread of detunings +
+    2 x largest coupling row sum) = ``_CONTOUR_SPAN``; h = 0 where that overflows."""
+    own = np.diag(local)
+    couplings = np.abs(local - np.diag(own)).sum(axis=1).max()
+    return _CONTOUR_SPAN / (float(own.imag.max()) - float(own.imag.min()) + 2.0 * couplings)
+
+
 def _contour_frames(blocks, wall, x, taus, longest):
     """exp(tau A) x at every increasing tau of ``taus``, from one sample to
     the next in equal steps of at most ``longest``; steps of one length share
@@ -471,9 +468,7 @@ def _group_propagate(local: np.ndarray, diffusion: np.ndarray, pinned: np.ndarra
     if wall is None:
         frames = (_block_exp(blocks, taus) @ x[:, :, None])[..., 0]
     else:
-        couplings = np.abs(local - np.diag(own)).sum(axis=1).max()
-        longest = _CONTOUR_SPAN / (np.ptp(own.imag) + 2.0 * couplings)
-        frames = _contour_frames(blocks, wall, x, taus, longest)
+        frames = _contour_frames(blocks, wall, x, taus, _longest_contour_step(local))
     frames *= np.exp(mu * taus)[:, None, None]
     if not diffusing.any():
         return frames
@@ -569,16 +564,27 @@ def integrate(
     first needs it. States are evaluated at ``sample_times``; phase
     boundaries are always included. Raises :class:`SolverFailure`, naming
     the phase, when a linear-algebra routine fails or a phase ends in a
-    non-finite state; and ValueError for a sample time that is NaN or
-    outside the schedule, or a phase that still matters but is shorter than
-    the float resolution of its start time.
+    non-finite state; ValueError for a sample time that is NaN or outside
+    the schedule, or a phase that still matters but is shorter than the
+    float resolution of its start time; and, before any propagation,
+    :class:`ConfigError` for a transfer of over ``_MAX_CONTOUR_STEPS`` steps.
     """
     phases = _schedule_phases(schedule, ens)
     total = sum(d for d, _, _ in phases)
+    for index, (duration, _, j_value) in enumerate(phases):
+        # a transfer in which S and K both diffuse is stepped along the contour
+        if j_value and ens.alkali_diffusion and ens.noble_diffusion:
+            longest = _longest_contour_step(_phase_operator(ens, 0.0, j_value)[0][1:, 1:])
+            if duration > _MAX_CONTOUR_STEPS * longest:
+                raise ConfigError(
+                    f"phase {index + 1} of {len(phases)}, a {duration:g} s transfer, needs more than "
+                    f"{_MAX_CONTOUR_STEPS} contour steps of at most {longest:.3g} s; shorten --exchange-window, "
+                    "raise exchange_coupling, or narrow the gap between alkali_detuning and noble_detuning")
 
     requested = np.array([], dtype=float) if sample_times is None else np.asarray(sample_times, dtype=float)
-    if requested.size and not (requested.min() >= 0.0 and requested.max() <= total * (1.0 + 1e-12)):
-        raise ValueError("sample_times must lie within the schedule duration")
+    if requested.size:
+        require(Domain(f"within the {total:g} s schedule", 0.0, total * (1.0 + 1e-12)),
+                earliest_sample_time=requested.min(), latest_sample_time=requested.max())
 
     y = np.stack((initial.optical, initial.alkali, initial.noble), axis=1).astype(np.complex128)
     times = [0.0]

@@ -14,7 +14,7 @@ if str(SRC_DIR) not in sys.path:
 def run_cli():
     """Run `python -m satqlink ...` with the package importable."""
 
-    def _run(*args, cwd=None):
+    def _run(*args, cwd=None, timeout=None):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
         return subprocess.run(
@@ -23,6 +23,7 @@ def run_cli():
             text=True,
             cwd=cwd,
             env=env,
+            timeout=timeout,
         )
 
     return _run

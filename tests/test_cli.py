@@ -110,7 +110,7 @@ def test_gainmap_rejects_memory_efficiency_above_one(tmp_path, capsys):
     # as --eta-mem 1.5 is rejected by ScenarioConfig
     code = cli.main(["gainmap", "--out", str(tmp_path), "--mem-max", "1.5"])
     assert code == 1
-    assert "eta_mem_axis values out of range" in capsys.readouterr().err
+    assert "eta_mem_axis[-1] must be in [0, 1], got 1.5" in capsys.readouterr().err
     assert not (tmp_path / "gainmap.csv").exists()
 
 
@@ -351,6 +351,23 @@ def test_gainmap_without_a_dual_probability_exits_without_a_gain(run_cli, tmp_pa
 
 @pytest.mark.parametrize(
     "argv",
+    [("--set", "noble_detuning=1e6"), ("--set", "noble_detuning=1e300"),
+     ("--set", "exchange_coupling=1e-300"), ("--exchange-window", "1e12")],
+)
+def test_transfer_beyond_the_contour_step_cap_is_refused(run_cli, tmp_path, argv):
+    # each transfer would take from 5e6 to 1e293 contour steps, and ran until
+    # killed before the cap; it is refused before any propagation, and the
+    # timeout fails a regression instead of hanging it
+    cp = run_cli("memory", "--grid", 16, "--samples", 3, *argv, "--out", tmp_path, timeout=10)
+    assert cp.returncode == 1
+    assert "configuration error: phase 1 of 3" in cp.stderr
+    for name in ("--exchange-window", "exchange_coupling", "alkali_detuning", "noble_detuning"):
+        assert name in cp.stderr
+    assert not (tmp_path / "kymograph.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
     [("memory", "--grid", "16", "--samples", "3", "--storage", "nan"),
      ("memory", "--grid", "16", "--samples", "3", "--exchange-window", "nan"),
      ("gainmap", "--mem-max", "inf")],
@@ -450,26 +467,33 @@ def _integrate_with_sample_times(times):
     spindyn.integrate(spindyn.initial_state(grid), schedule, ens, grid, sample_times=np.array(times))
 
 
-@pytest.mark.parametrize("call", [
-    lambda: geometry.elevation_from_slant_range(math.nan, OrbitalConfig()),
-    lambda: geometry.elevation_from_slant_range(math.inf, OrbitalConfig()),
-    lambda: geometry.buffer_time(math.nan, OrbitalConfig()),
-    lambda: geometry.buffer_time(math.inf, OrbitalConfig()),
-    lambda: OrbitalConfig(altitude=math.inf),
-    lambda: skr.feasibility(math.nan, 1.0),
-    lambda: skr.feasibility(1.0, math.nan),
-    lambda: skr.feasibility(math.inf, math.inf),
-    lambda: spindyn.ProtocolSchedule(dark_interval=math.inf),
-    lambda: _integrate_with_sample_times([0.0, math.nan, 1.0]),
+@pytest.mark.parametrize("call, name", [
+    (lambda: geometry.elevation_from_slant_range(math.nan, OrbitalConfig()), "slant_range"),
+    (lambda: geometry.elevation_from_slant_range(math.inf, OrbitalConfig()), "slant_range"),
+    (lambda: geometry.buffer_time(math.nan, OrbitalConfig()), "ogs_separation"),
+    (lambda: geometry.buffer_time(math.inf, OrbitalConfig()), "ogs_separation"),
+    (lambda: OrbitalConfig(altitude=math.inf), "altitude"),
+    (lambda: skr.feasibility(math.nan, 1.0), "memory_lifetime"),
+    (lambda: skr.feasibility(1.0, math.nan), "buffer_interval"),
+    (lambda: skr.feasibility(math.inf, math.inf), "memory_lifetime"),
+    (lambda: spindyn.ProtocolSchedule(dark_interval=math.inf), "dark_interval"),
+    (lambda: _integrate_with_sample_times([0.0, math.nan, 1.0]), "earliest_sample_time"),
+    (lambda: linkbudget.beam_radius(math.inf, linkbudget.OpticalLinkParams()), "propagation_distance"),
+    (lambda: linkbudget.collected_fraction(math.inf, linkbudget.OpticalLinkParams()), "slant_range"),
+    (lambda: linkbudget.single_link_efficiency(0.5, math.inf, linkbudget.OpticalLinkParams()),
+     "slant_range"),
+    (lambda: afc.comb_dephasing_factor(math.inf), "finesse"),
+    (lambda: afc.multimode_capacity(math.inf, 96e6), "total_bandwidth"),
 ], ids=["elevation_from_slant_range-nan", "elevation_from_slant_range-inf", "buffer_time-nan",
         "buffer_time-inf", "OrbitalConfig-altitude-inf", "feasibility-lifetime-nan",
         "feasibility-interval-nan", "feasibility-inf", "ProtocolSchedule-dark_interval-inf",
-        "integrate-sample-nan"])
-def test_public_scalar_api_rejects_nan_and_inf(call):
+        "integrate-sample-nan", "beam_radius-inf", "collected_fraction-inf",
+        "single_link_efficiency-inf", "comb_dephasing_factor-inf", "multimode_capacity-inf"])
+def test_public_scalar_api_rejects_nan_and_inf(call, name):
     # the command line checks every flag and key for finiteness; a library
-    # caller gets a ValueError instead of zenith, NaN, inf, a vacuous True or
-    # False, a dropped sample, or a crash further down
-    with pytest.raises(ValueError):
+    # caller gets a ValueError naming the argument instead of zenith, NaN,
+    # inf, 0, a vacuous True or False, a dropped sample, or a crash further down
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
         call()
 
 

@@ -200,5 +200,8 @@ _FLOAT_FIELDS = [
     ("cls", "name", "base"), _FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n, _ in _FLOAT_FIELDS]
 )
 def test_domain_validators_reject_nan(cls, name, base):
-    with pytest.raises(ValueError):
-        cls(**{**base, name: math.nan})
+    # NaN and both infinities, each named in the message; pytest turns a
+    # numpy RuntimeWarning on the way into an error
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"^{name} must be .*, got {bad}$"):
+            cls(**{**base, name: bad})

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import references
 from satqlink import spindyn as sd
 from satqlink.spindyn import EnsembleParams
-from satqlink.config import RunConfig, ensemble_params
+from satqlink.config import ConfigError, RunConfig, ensemble_params
 from satqlink.formatting import csv_float
 
 R = 0.01
@@ -393,6 +393,50 @@ def test_propagators_agree_with_lsoda(n, decays, detunings, diffusions, coupling
         assert volume_norm(got - want) <= 1e-8 * volume_norm(y0)
 
 
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    n=st.integers(16, 40),
+    decays=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    detunings=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    diffusions=st.tuples(st.floats(0.0, 1e-6), st.floats(0.0, 1e-6)),
+    couplings=_COUPLINGS,
+    duration=st.floats(1e-3, 2.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(n=16, decays=(2.0 * math.pi * 5.96e6, 3.1e-7, 0.0), detunings=(0.0, 1.11e-3),
+         diffusions=(1.02e-8, 2.05e-8), couplings=(0.0, 2e-5), duration=math.pi / 4e-5, seed=0)
+@example(n=16, decays=(2.0 * math.pi * 5.96e6, 3.1e-7, 0.0), detunings=(0.0, 1.11e-3),
+         diffusions=(1.02e-8, 2.05e-8), couplings=(1e9, 0.0), duration=1e-4, seed=1)
+@example(n=32, decays=(0.0, 3.1e-7, 0.0), detunings=(0.0, 1.11e-3),
+         diffusions=(0.0, 0.0), couplings=(0.0, 0.2), duration=math.pi / 0.4, seed=2)
+def test_propagators_agree_with_group_expm(n, decays, detunings, diffusions, couplings, duration, seed):
+    # the draws of test_propagators_agree_with_lsoda against a dense expm of
+    # each coupled group of the assembled operator, to 1e-11 of the initial
+    # volume norm: 3.7e-13 off on the paper-literal transfer, at most 2.7e-15
+    # on the others; with 24 Talbot nodes instead of 32 the paper-literal
+    # transfer is 1.4e-11 off, which the LSODA test's 1e-8 lets pass
+    omega, j = couplings
+    g = sd.RadialGrid(R, n)
+    ens = EnsembleParams(
+        exchange_coupling=j, optical_decay=decays[0], alkali_decay=decays[1],
+        noble_decay=decays[2], alkali_detuning=detunings[0], noble_detuning=detunings[1],
+        alkali_diffusion=diffusions[0], noble_diffusion=diffusions[1],
+    )
+    phase = sd._phase_operator(ens, omega, j)
+    rng = np.random.default_rng(seed)
+    y0 = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    t0 = 1.0
+    t_eval = t0 + duration * np.array([0.3, 0.7, 1.0])
+    exact = sd._propagate(phase, g, y0, t0, t_eval, "phase")
+    dense = references.expm_propagate(phase, g, y0, t_eval - t0)
+
+    def volume_norm(y):
+        return math.sqrt(np.sum(g.shell_volumes[:, None] * np.abs(y) ** 2))
+
+    for got, want in zip(exact, dense):
+        assert volume_norm(got - want) <= 1e-11 * volume_norm(y0)
+
+
 def test_propagate_rejects_a_phase_with_both_couplings():
     # no schedule phase switches on the control and the exchange together
     g = sd.RadialGrid(R, 16)
@@ -596,6 +640,31 @@ def test_phases_too_short_to_step(storage, window):
     res = sd.simulate_protocol(lossless(j=1.0), sched, g, time_samples=5)
     assert abs(res.eta_mem - math.cos(2.0 * window) ** 2) < 1e-9
     assert np.all(np.diff(res.times) > 0)
+
+
+def test_transfer_step_cap_counts_the_contour_steps(monkeypatch):
+    # the rescaled default transfer is stepped in ceil(7.85 s / 3.74 s) = 3
+    # contour steps, each way; a cap of 3 lets it run, a cap of 2 refuses it
+    # before the first step
+    g = sd.RadialGrid(R, 16)
+    ens = ensemble_params(RunConfig(), "rescaled")
+    sched = sd.ProtocolSchedule(dark_interval=1.0)
+    steps = []
+    contour_step = sd._contour_step
+
+    def counted(blocks, wall, h):
+        step = contour_step(blocks, wall, h)
+        return lambda x: steps.append(h) or step(x)
+
+    monkeypatch.setattr(sd, "_contour_step", counted)
+    monkeypatch.setattr(sd, "_MAX_CONTOUR_STEPS", 3)
+    sd.integrate(sd.initial_state(g), sched, ens, g)
+    assert len(steps) == 6
+    steps.clear()
+    monkeypatch.setattr(sd, "_MAX_CONTOUR_STEPS", 2)
+    with pytest.raises(ConfigError, match="phase 1 of 3, a 7.85398 s transfer, needs more than 2 contour steps"):
+        sd.integrate(sd.initial_state(g), sched, ens, g)
+    assert not steps
 
 
 def test_phase_below_the_time_resolution_is_rejected():
