@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .domain import NON_NEGATIVE, POSITIVE, require, require_fields
+from .domain import NON_NEGATIVE, POSITIVE, Record, require, require_fields
 
 if TYPE_CHECKING:
     from .spindyn import EnsembleParams
@@ -26,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AFCParams:
+class AFCParams(Record):
     """Spectral comb parameters, all in Hz."""
 
     total_bandwidth: float = 27e9
@@ -44,12 +42,11 @@ class AFCParams:
             warnings.warn(
                 "tooth_width below twice the homogeneous linewidth; "
                 "lifetime broadening will wash out the comb",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the constructor
             )
 
 
-@dataclass(frozen=True)
-class ControlPulse:
+class ControlPulse(Record):
     """Optical control window T and Rabi frequency of the write and read."""
 
     duration: float = 0.0
@@ -68,7 +65,9 @@ def multimode_capacity(total_bandwidth: float, tooth_spacing: float) -> int:
     """Number of temporal modes storable per cycle: floor(2*bandwidth / (5*spacing))."""
     require(POSITIVE, tooth_spacing=tooth_spacing)
     require(NON_NEGATIVE, total_bandwidth=total_bandwidth)
-    return math.floor(2.0 * total_bandwidth / (5.0 * tooth_spacing))
+    capacity = 2.0 * total_bandwidth / (5.0 * tooth_spacing)
+    require(NON_NEGATIVE, mode_capacity=capacity)  # inf on overflow, before floor() raises
+    return math.floor(capacity)
 
 
 def comb_dephasing_factor(finesse_value: float) -> float:

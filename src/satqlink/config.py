@@ -12,10 +12,10 @@ detector 0.70, Earth radius 6371 km, altitude 500 km).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .domain import Record, replace
 from .formatting import config_value
 from .skr import CALIBRATED_QBER, QKDParams
 
@@ -50,8 +50,7 @@ class ConfigError(ValueError):
     """Raised for unreadable, unknown or malformed configuration input."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Every tunable of the simulator, one flat namespace."""
 
     # orbit
@@ -91,7 +90,8 @@ class RunConfig:
     ogs_separation_km: float = 3267.9
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# key -> "int" or "float": the annotations are strings under the __future__ import
+_FIELD_TYPES = vars(RunConfig)["__annotations__"]
 
 
 def _convert(key: str, raw: str, where: str):
@@ -150,7 +150,7 @@ def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
 
 def emit_config(cfg: RunConfig) -> str:
     """Render the effective configuration; parsing it back reproduces cfg."""
-    lines = [f"{f.name} = {config_value(getattr(cfg, f.name))}" for f in fields(RunConfig)]
+    lines = [f"{key} = {config_value(getattr(cfg, key))}" for key in _FIELD_TYPES]
     return "\n".join(lines) + "\n"
 
 

@@ -1,6 +1,7 @@
 """One domain rule for every numeric parameter: a value passes only if it is a
 finite number inside its domain; anything else, NaN and +-inf included, raises
-``ValueError("<name> must be <domain>, got <value>")``. Imports only ``math``.
+``ValueError("<name> must be <domain>, got <value>")``. The packs that hold
+the parameters are :class:`Record` subclasses. Imports only ``math``.
 """
 
 import math
@@ -33,3 +34,72 @@ def require(domain: Domain, **values) -> None:
 def require_fields(obj, domain: Domain, *names: str) -> None:
     """:func:`require` on the attributes ``names`` of ``obj``."""
     require(domain, **{name: getattr(obj, name) for name in names})
+
+
+class Record:
+    """Base of the frozen parameter and result records.
+
+    The attributes annotated in a subclass's own body are its fields, in
+    order, and their class values the defaults. Construction takes the
+    fields by position or keyword, then runs ``__post_init__`` if the class
+    has one. A field can be neither assigned nor deleted; ``==`` holds only
+    between records of one type; ``hash`` is that of the tuple of field
+    values and ``repr`` reads ``Name(field=value, ...)``. Nothing is
+    generated by ``exec``, so a record class costs no more to build than a
+    plain one.
+    """
+
+    _fields = ()  # the field names in order, set on each subclass
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the class's own annotations: on 3.10, cls.__annotations__ can be a base's
+        namespace = cls.__dict__
+        cls._fields = tuple(namespace.get("__annotations__", {}))
+        cls._defaults = {name: namespace[name] for name in cls._fields if name in namespace}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__qualname__}() takes {len(cls._fields)} positional arguments "
+                            f"but {len(args)} were given")
+        values = dict(zip(cls._fields, args))
+        for name, value in kwargs.items():
+            if name not in cls._fields:
+                raise TypeError(f"{cls.__qualname__}() got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__qualname__}() got multiple values for argument {name!r}")
+            values[name] = value
+        missing = [name for name in cls._fields if name not in values and name not in cls._defaults]
+        if missing:
+            raise TypeError(f"{cls.__qualname__}() missing required arguments: {', '.join(missing)}")
+        self.__dict__.update({name: values.get(name, cls._defaults.get(name)) for name in cls._fields})
+        post_init = getattr(self, "__post_init__", None)
+        if post_init is not None:
+            post_init()
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of ``record`` with ``changes`` applied, validated again."""
+    return type(record)(**{**dict(zip(record._fields, record._values())), **changes})

@@ -9,9 +9,8 @@ third law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .domain import ELEVATION, NON_NEGATIVE, POSITIVE, require, require_fields
+from .domain import ELEVATION, NON_NEGATIVE, POSITIVE, Record, require, require_fields
 
 __all__ = [
     "OrbitalConfig",
@@ -24,8 +23,7 @@ __all__ = [
 _ASIN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class OrbitalConfig:
+class OrbitalConfig(Record):
     """Circular-orbit parameters.
 
     earth_radius and altitude are in km, gravitational_parameter in km^3/s^2.

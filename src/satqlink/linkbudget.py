@@ -15,9 +15,10 @@ in ``scenario`` are filled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .domain import ELEVATION, NON_NEGATIVE, POSITIVE, PROBABILITY, TRANSMISSION, require, require_fields
+from .domain import (
+    ELEVATION, NON_NEGATIVE, POSITIVE, PROBABILITY, TRANSMISSION, Record, require, require_fields,
+)
 
 __all__ = [
     "OpticalLinkParams",
@@ -28,8 +29,7 @@ __all__ = [
     "single_link_efficiency",
 ]
 
-@dataclass(frozen=True)
-class OpticalLinkParams:
+class OpticalLinkParams(Record):
     """Downlink beam, receiver and detector parameters.
 
     ``beam_waist`` is derived, not set: the diffraction-limited value

@@ -12,10 +12,11 @@ geometry note.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import geometry, linkbudget, skr
-from .domain import ELEVATION, NON_NEGATIVE, POSITIVE, PROBABILITY, Domain, require, require_fields
+from .domain import (
+    ELEVATION, NON_NEGATIVE, POSITIVE, PROBABILITY, Domain, Record, require, require_fields,
+)
 from .formatting import csv_block, csv_float, csv_floats, table_float
 from .geometry import OrbitalConfig
 from .linkbudget import OpticalLinkParams
@@ -38,8 +39,7 @@ __all__ = [
 KM = 1e3  # geometry works in km, beam optics in m
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     """Inputs of one architecture comparison. Ranges in km, angles in rad."""
 
     orbit: OrbitalConfig = OrbitalConfig()
@@ -58,8 +58,7 @@ class ScenarioConfig:
         require_fields(self, PROBABILITY, "eta_mem")
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(Record):
     """Headline numbers of one comparison."""
 
     eta_dual: float

@@ -9,9 +9,8 @@ rate and by the number of parallel temporal modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .domain import NON_NEGATIVE, POSITIVE, PROBABILITY, Domain, require, require_fields
+from .domain import NON_NEGATIVE, POSITIVE, PROBABILITY, Domain, Record, require, require_fields
 
 __all__ = [
     "CALIBRATED_QBER",
@@ -30,8 +29,7 @@ __all__ = [
 CALIBRATED_QBER = 0.09657329074620885
 
 
-@dataclass(frozen=True)
-class QKDParams:
+class QKDParams(Record):
     """Channel-use rate, error rates and memory bookkeeping for one link."""
 
     channel_use_rate: float = 90e6    # Hz

@@ -45,12 +45,11 @@ that steps the same equations, assembled as banded operators
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import INITIAL_PROFILES, ConfigError
-from .domain import FINITE, NON_NEGATIVE, POSITIVE, Domain, require, require_fields
+from .domain import FINITE, NON_NEGATIVE, POSITIVE, Domain, Record, replace, require, require_fields
 from .formatting import csv_block, csv_floats
 
 __all__ = [
@@ -94,8 +93,7 @@ class SolverFailure(RuntimeError):
     a phase ended in a non-finite state."""
 
 
-@dataclass(frozen=True)
-class EnsembleParams:
+class EnsembleParams(Record):
     """Hybrid-cell ensemble parameters for the spin dynamics.
 
     Rates are s^-1 and diffusion constants m^2/s. The cell radius is the
@@ -185,8 +183,7 @@ def radial_laplacian(field: np.ndarray, grid: RadialGrid, bc: str) -> np.ndarray
     return np.diff(flux) / grid.shell_volumes
 
 
-@dataclass(frozen=True)
-class SpinFieldState:
+class SpinFieldState(Record):
     """Complex radial profiles of the three collective fields at one instant."""
 
     optical: np.ndarray   # cavity-driven optical polarization P
@@ -199,8 +196,7 @@ class SpinFieldState:
             raise ValueError("field arrays must share one length")
 
 
-@dataclass(frozen=True)
-class ProtocolSchedule:
+class ProtocolSchedule(Record):
     """Timing of one write / transfer / store / retrieve / read cycle.
 
     All durations in seconds. ``exchange_window`` is the alkali/noble
@@ -226,11 +222,12 @@ class ProtocolSchedule:
             return self.exchange_window
         if ens.exchange_coupling <= 0.0:
             raise ValueError("exchange_window is required when the exchange coupling is zero")
-        return math.pi / (2.0 * ens.exchange_coupling)
+        window = math.pi / (2.0 * ens.exchange_coupling)  # inf for a denormal coupling
+        require(POSITIVE, exchange_window=window)
+        return window
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Field profiles sampled along one integration, immutable once built."""
 
     times: np.ndarray     # (nt,)
@@ -239,8 +236,7 @@ class Trajectory:
     noble: np.ndarray     # (nt, nr)
 
 
-@dataclass(frozen=True)
-class ProtocolResult:
+class ProtocolResult(Record):
     """Kymographs and retrieved efficiency of one full protocol run."""
 
     times: np.ndarray          # (nt,)
@@ -644,7 +640,9 @@ def simulate_protocol(
         raise ValueError("time_samples must be at least 2")
     state0 = initial_state(grid, profile)
     t_ret = retrieval_instant(schedule, ens)
-    samples = np.linspace(0.0, schedule_duration(schedule, ens), time_samples)
+    duration = schedule_duration(schedule, ens)
+    require(NON_NEGATIVE, schedule_duration=duration)  # finite phases can overflow in the sum
+    samples = np.linspace(0.0, duration, time_samples)
     traj = integrate(state0, schedule, ens, grid, sample_times=samples)
 
     idx_ret = int(np.argmin(np.abs(traj.times - t_ret)))

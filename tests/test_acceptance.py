@@ -5,7 +5,6 @@ PASS/FAIL line. Run with `pytest tests/test_acceptance.py -v -s`.
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ import pytest
 import references
 from satqlink import afc, geometry as geo, linkbudget as lb, scenario as scn, skr
 from satqlink import spindyn as sd
+from satqlink.domain import replace
 from satqlink.spindyn import EnsembleParams
 from satqlink.skr import QKDParams
 

@@ -32,6 +32,14 @@ def test_multimode_capacity():
         afc.multimode_capacity(27e9, 0.0)
 
 
+@pytest.mark.parametrize(("total_bandwidth", "tooth_spacing"), [(1.7e308, 96e6), (27e9, 5e-324)])
+def test_multimode_capacity_overflow_is_a_value_error(total_bandwidth, tooth_spacing):
+    # finite inputs whose quotient is inf: the domain rule's ValueError, not
+    # the OverflowError of math.floor(inf)
+    with pytest.raises(ValueError, match=r"^mode_capacity must be non-negative and finite, got inf$"):
+        afc.multimode_capacity(total_bandwidth, tooth_spacing)
+
+
 def test_comb_dephasing_factor():
     assert afc.comb_dephasing_factor(1e9) == pytest.approx(1.0, abs=1e-12)
     assert afc.comb_dephasing_factor(8.0) == pytest.approx(0.9496412035517837, rel=1e-12)

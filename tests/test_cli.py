@@ -366,6 +366,23 @@ def test_transfer_beyond_the_contour_step_cap_is_refused(run_cli, tmp_path, argv
     assert not (tmp_path / "kymograph.csv").exists()
 
 
+@pytest.mark.parametrize(("argv", "message"), [
+    (("--preset", "paper-literal", "--set", "exchange_coupling=1e-320"),
+     "exchange_window must be positive and finite, got inf"),
+    (("--storage", "1.7e308", "--exchange-window", "1e308"),
+     "schedule_duration must be non-negative and finite, got inf"),
+], ids=["denormal-coupling", "overflowed-sum"])
+def test_overflowed_schedule_is_refused_before_any_work(run_cli, tmp_path, monkeypatch, argv, message):
+    # pi / (2 J) is inf for a denormal J, and finite phases can sum to inf;
+    # either is refused before the sample grid is built, where numpy's
+    # linspace warned on the inf end point (an error here, as in CI)
+    monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+    cp = run_cli("memory", "--grid", 16, "--samples", 3, *argv, "--out", tmp_path, timeout=10)
+    assert cp.returncode == 1
+    assert cp.stderr == f"configuration error: {message}\n"
+    assert not (tmp_path / "kymograph.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [("memory", "--grid", "16", "--samples", "3", "--storage", "nan"),
@@ -532,7 +549,7 @@ def test_every_public_name_has_a_caller_in_src():
     assert sorted(public - referred) == sorted(_UNREFERENCED_IN_SRC)
 
 
-# Dataclass fields that src/ reads only in their own class's __post_init__,
+# Record fields that src/ reads only in their own class's __post_init__,
 # each with the reason it stays.
 _FIELDS_READ_ONLY_IN_VALIDATION = {
     "AFCParams.homogeneous_linewidth",  # the comb wash-out warning
@@ -540,7 +557,7 @@ _FIELDS_READ_ONLY_IN_VALIDATION = {
 
 
 def test_every_dataclass_field_is_read_in_src():
-    """Every field of a ``@dataclass`` in src/satqlink is read as an attribute
+    """Every field of a ``Record`` subclass in src/satqlink is read as an attribute
     somewhere in src/ outside its own class's ``__post_init__``, or is one of
     the commented exceptions: no field is state that no formula, artifact or
     message reads.
@@ -555,18 +572,20 @@ def test_every_dataclass_field_is_read_in_src():
                        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
 
     everywhere = sum((reads(tree) for tree in trees), Counter())
-    unread = []
+    unread, records = [], []
     for tree in trees:
         for cls in tree.body:
             if not (isinstance(cls, ast.ClassDef) and any(
-                    "dataclass" in ast.unparse(d) for d in cls.decorator_list)):
+                    isinstance(b, ast.Name) and b.id == "Record" for b in cls.bases)):
                 continue
+            records.append(cls.name)
             validation = sum((reads(f) for f in cls.body
                               if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"),
                              Counter())
             unread += [f"{cls.name}.{f.target.id}" for f in cls.body
                        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
                        and everywhere[f.target.id] <= validation[f.target.id]]
+    assert len(records) == 13, records  # the scan found every record class
     assert sorted(unread) == sorted(_FIELDS_READ_ONLY_IN_VALIDATION)
 
 
@@ -578,8 +597,8 @@ def _run_script(script: str) -> subprocess.CompletedProcess:
 
 
 def test_link_commands_load_no_scipy(tmp_path):
-    """scenario, linkmap and gainmap go without importing numpy, scipy or
-    satqlink.spindyn; once satqlink.cli is imported, the package resolves
+    """scenario, linkmap and gainmap go without importing numpy, scipy,
+    satqlink.spindyn, dataclasses or inspect; once satqlink.cli is imported, the package resolves
     satqlink.spindyn on first access, memory runs through that module, and
     a short memory run loads no scipy. Any other missing name is an
     AttributeError. In-process ``main`` calls
@@ -598,6 +617,8 @@ for argv in (["scenario"], ["linkmap"], ["gainmap"]):
 loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
 assert not loaded, loaded
 assert "satqlink.spindyn" not in sys.modules
+# each costs a light command milliseconds of start-up
+assert "dataclasses" not in sys.modules and "inspect" not in sys.modules
 spindyn = satqlink.spindyn
 assert sys.modules["satqlink.spindyn"] is spindyn and "numpy" in sys.modules
 assert not hasattr(satqlink, "nope")

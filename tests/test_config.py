@@ -1,11 +1,11 @@
 import math
-from dataclasses import fields, replace
 
 import pytest
 
 from satqlink import config as cm
 from satqlink.afc import AFCParams, ControlPulse
 from satqlink.config import ConfigError
+from satqlink.domain import replace
 from satqlink.geometry import OrbitalConfig
 from satqlink.linkbudget import OpticalLinkParams
 from satqlink.scenario import ScenarioConfig
@@ -164,11 +164,11 @@ def _built(cfg: cm.RunConfig) -> tuple:
 def test_every_key_enters_a_builder():
     base = cm.RunConfig()
     reference = _built(base)
-    for f in fields(cm.RunConfig):
-        value = getattr(base, f.name)
+    for name in cm.RunConfig._fields:
+        value = getattr(base, name)
         # a small step keeps every key inside its domain
         nudged = value - 1 if isinstance(value, int) else (value * 0.995 if value else 1e-3)
-        assert _built(replace(base, **{f.name: nudged})) != reference, f.name
+        assert _built(replace(base, **{name: nudged})) != reference, name
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)
@@ -189,10 +189,10 @@ _DOMAIN_CLASSES = {
     ProtocolSchedule: {},
 }
 _FLOAT_FIELDS = [
-    (cls, f.name, base)
+    (cls, name, base)
     for cls, base in _DOMAIN_CLASSES.items()
-    for f in fields(cls)
-    if f.type in ("float", "float | None")
+    for name, kind in vars(cls)["__annotations__"].items()
+    if kind in ("float", "float | None")
 ] + [(RadialGrid, "cell_radius", {"point_count": 16})]
 
 

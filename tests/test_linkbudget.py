@@ -1,11 +1,11 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import references
 from satqlink import linkbudget as lb
+from satqlink.domain import replace
 
 LINK = lb.OpticalLinkParams()  # 795 nm, 3 urad, 1 urad jitter, 0.5 m pupil
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satqlink import geometry as geo, linkbudget as lb, scenario as scn
+from satqlink.domain import replace
 from satqlink.formatting import csv_float
 from satqlink.skr import QKDParams
 
