@@ -30,9 +30,9 @@ class OrbitalConfig(Record):
     altitude = 0 is allowed (surface-grazing orbit, useful for scaling checks).
     """
 
-    earth_radius: float = 6371.0
-    altitude: float = 500.0
-    gravitational_parameter: float = 398600.0
+    earth_radius: float
+    altitude: float
+    gravitational_parameter: float
 
     def __post_init__(self):
         require_fields(self, POSITIVE, "earth_radius", "gravitational_parameter")

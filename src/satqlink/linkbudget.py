@@ -36,12 +36,12 @@ class OpticalLinkParams(Record):
     wavelength / (pi * divergence_half_angle).
     """
 
-    wavelength: float = 795e-9            # m
-    divergence_half_angle: float = 3e-6   # rad
-    pointing_jitter_rms: float = 1e-6     # rad, may be zero
-    receiver_radius: float = 0.5          # m
-    zenith_transmission: float = 0.8      # dimensionless, in (0, 1]
-    detector_efficiency: float = 0.70
+    wavelength: float              # m
+    divergence_half_angle: float   # rad
+    pointing_jitter_rms: float     # rad, may be zero
+    receiver_radius: float         # m
+    zenith_transmission: float     # dimensionless, in (0, 1]
+    detector_efficiency: float
 
     def __post_init__(self):
         require_fields(self, POSITIVE, "wavelength", "divergence_half_angle", "receiver_radius")

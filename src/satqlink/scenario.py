@@ -18,9 +18,6 @@ from .domain import (
     ELEVATION, NON_NEGATIVE, POSITIVE, PROBABILITY, Domain, Record, require, require_fields,
 )
 from .formatting import csv_block, csv_float, csv_floats, table_float
-from .geometry import OrbitalConfig
-from .linkbudget import OpticalLinkParams
-from .skr import QKDParams
 
 __all__ = [
     "ScenarioConfig",
@@ -42,14 +39,14 @@ KM = 1e3  # geometry works in km, beam optics in m
 class ScenarioConfig(Record):
     """Inputs of one architecture comparison. Ranges in km, angles in rad."""
 
-    orbit: OrbitalConfig = OrbitalConfig()
-    link: OpticalLinkParams = OpticalLinkParams()
-    qkd: QKDParams = QKDParams()
-    dual_elevation: float = math.radians(20.0)
-    dual_slant_range: float = 1461.9
-    buffered_slant_range: float = 500.0
-    ogs_separation: float = 3267.9
-    eta_mem: float = 0.74
+    orbit: geometry.OrbitalConfig
+    link: linkbudget.OpticalLinkParams
+    qkd: skr.QKDParams
+    dual_elevation: float
+    dual_slant_range: float
+    buffered_slant_range: float
+    ogs_separation: float
+    eta_mem: float
 
     def __post_init__(self):
         require_fields(self, POSITIVE, "dual_slant_range", "buffered_slant_range")

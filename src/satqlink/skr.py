@@ -13,7 +13,6 @@ import math
 from .domain import NON_NEGATIVE, POSITIVE, PROBABILITY, Domain, Record, require, require_fields
 
 __all__ = [
-    "CALIBRATED_QBER",
     "QKDParams",
     "binary_entropy",
     "key_bracket",
@@ -24,21 +23,17 @@ __all__ = [
     "feasibility",
 ]
 
-# Chosen so that 1 - h(e) - 1.10 * h(e) = 0.03812, the key-fraction bracket
-# the default rates are calibrated against.
-CALIBRATED_QBER = 0.09657329074620885
-
 
 class QKDParams(Record):
     """Channel-use rate, error rates and memory bookkeeping for one link."""
 
-    channel_use_rate: float = 90e6    # Hz
-    qber_x: float = CALIBRATED_QBER
-    qber_z: float = CALIBRATED_QBER
-    ec_inefficiency: float = 1.10     # >= 1
-    herald_probability: float = 1.0
-    mode_count: int = 112
-    memory_lifetime: float = 463.0    # s
+    channel_use_rate: float    # Hz
+    qber_x: float
+    qber_z: float
+    ec_inefficiency: float     # >= 1
+    herald_probability: float
+    mode_count: int
+    memory_lifetime: float     # s
 
     def __post_init__(self):
         require_fields(self, POSITIVE, "channel_use_rate")

@@ -49,7 +49,7 @@ import math
 import numpy as np
 
 from .config import INITIAL_PROFILES, ConfigError
-from .domain import FINITE, NON_NEGATIVE, POSITIVE, Domain, Record, replace, require, require_fields
+from .domain import FINITE, NON_NEGATIVE, POSITIVE, Domain, Record, require, require_fields
 from .formatting import csv_block, csv_floats
 
 __all__ = [
@@ -100,14 +100,14 @@ class EnsembleParams(Record):
     radius of the ``RadialGrid`` the fields are solved on.
     """
 
-    exchange_coupling: float = 2.00e-5   # alkali/noble coherent coupling J
-    alkali_decay: float = 3.1e-7
-    noble_decay: float = 0.0
-    alkali_detuning: float = 0.0
-    noble_detuning: float = 1.11e-3
-    alkali_diffusion: float = 1.02e-8
-    noble_diffusion: float = 2.05e-8
-    optical_decay: float = 2.0 * math.pi * 5.96e6
+    exchange_coupling: float   # alkali/noble coherent coupling J
+    alkali_decay: float
+    noble_decay: float
+    alkali_detuning: float
+    noble_detuning: float
+    alkali_diffusion: float
+    noble_diffusion: float
+    optical_decay: float
 
     def __post_init__(self):
         require_fields(self, NON_NEGATIVE, "exchange_coupling", "alkali_decay", "noble_decay",
@@ -134,6 +134,8 @@ class RadialGrid:
         self.faces = np.linspace(0.0, self.cell_radius, self.point_count + 1)
         self.nodes = 0.5 * (self.faces[:-1] + self.faces[1:])
         self.shell_volumes = np.diff(self.faces ** 3) / 3.0
+        # the cubes underflow below about 4e-107 m at n = 16, leaving every volume 0
+        require(POSITIVE, **{"innermost shell volume of cell_radius": float(self.shell_volumes[0])})
         self._eigh = {}
 
     def eigenbasis(self, bc: str):
@@ -512,8 +514,12 @@ def _propagate(phase, grid: RadialGrid, y: np.ndarray, t0: float, t_eval: np.nda
 
 
 def _schedule_phases(schedule: ProtocolSchedule, ens: EnsembleParams):
-    """(duration, rabi, exchange) of write, transfer, storage, reverse
-    transfer and read, in that order; zero-length phases dropped."""
+    """(t0, t1, duration, rabi, exchange) of write, transfer, storage,
+    reverse transfer and read, in that order; zero-length phases dropped.
+
+    The boundaries are summed here and nowhere else: each phase ends at
+    t1 = t0 + duration and the next starts there, so every reader of a
+    boundary sees the same float."""
     t_ex = schedule.resolve_exchange_window(ens)
     j = ens.exchange_coupling
     raw = [
@@ -523,22 +529,30 @@ def _schedule_phases(schedule: ProtocolSchedule, ens: EnsembleParams):
         (t_ex, 0.0, j),
         (schedule.read_time, schedule.rabi_frequency, 0.0),
     ]
-    return [(d, om, jj) for d, om, jj in raw if d > 0.0]
+    phases, t0 = [], 0.0
+    for duration, rabi, exchange in raw:
+        if duration > 0.0:
+            phases.append((t0, t0 + duration, duration, rabi, exchange))
+            t0 += duration
+    return phases
 
 
 def schedule_duration(schedule: ProtocolSchedule, ens: EnsembleParams) -> float:
-    """Total protocol time implied by a schedule."""
-    return sum(d for d, _, _ in _schedule_phases(schedule, ens))
+    """Total protocol time implied by a schedule: the end of its last phase."""
+    phases = _schedule_phases(schedule, ens)
+    return phases[-1][1] if phases else 0.0
 
 
 def retrieval_instant(schedule: ProtocolSchedule, ens: EnsembleParams) -> float:
     """Time at which the reverse transfer completes and S is read back.
 
-    The read window is the last phase, so this is the duration of the
-    schedule without it, summed phase by phase exactly as ``integrate``
-    accumulates its phase boundaries: the result is one of them, bit for bit.
+    The read window is the last phase, so this is where the read starts,
+    or where the schedule ends when it has no read. Either is a phase
+    boundary that ``integrate`` samples, bit for bit.
     """
-    return schedule_duration(replace(schedule, read_time=0.0), ens)
+    if schedule.read_time > 0.0:
+        return _schedule_phases(schedule, ens)[-1][0]
+    return schedule_duration(schedule, ens)
 
 
 def integrate(
@@ -566,8 +580,8 @@ def integrate(
     :class:`ConfigError` for a transfer of over ``_MAX_CONTOUR_STEPS`` steps.
     """
     phases = _schedule_phases(schedule, ens)
-    total = sum(d for d, _, _ in phases)
-    for index, (duration, _, j_value) in enumerate(phases):
+    total = phases[-1][1] if phases else 0.0
+    for index, (_, _, duration, _, j_value) in enumerate(phases):
         # a transfer in which S and K both diffuse is stepped along the contour
         if j_value and ens.alkali_diffusion and ens.noble_diffusion:
             longest = _longest_contour_step(_phase_operator(ens, 0.0, j_value)[0][1:, 1:])
@@ -586,9 +600,7 @@ def integrate(
     times = [0.0]
     frames = [y[None]]
 
-    t0 = 0.0
-    for index, (duration, omega, j_value) in enumerate(phases):
-        t1 = t0 + duration
+    for index, (t0, t1, duration, omega, j_value) in enumerate(phases):
         phase = _phase_operator(ens, omega, j_value)
         if t1 == t0:
             # exp(duration A) moves the state by at most about ||A||_1 duration.
@@ -607,7 +619,6 @@ def integrate(
         times.extend(t_eval)
         frames.append(block)
         y = block[-1]
-        t0 = t1
 
     stacked = np.concatenate(frames)
     return Trajectory(

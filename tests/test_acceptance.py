@@ -12,9 +12,11 @@ import pytest
 import references
 from satqlink import afc, geometry as geo, linkbudget as lb, scenario as scn, skr
 from satqlink import spindyn as sd
+from satqlink.config import RunConfig, ensemble_params, scenario_config
 from satqlink.domain import replace
 from satqlink.spindyn import EnsembleParams
-from satqlink.skr import QKDParams
+
+BASELINE = scenario_config(RunConfig())  # the baseline operating point
 
 
 @contextmanager
@@ -29,7 +31,7 @@ def criterion(number, description):
 
 def test_criterion_01_combined_success_probabilities():
     with criterion(1, "combined success probabilities 4.23e-5 / 4.70e-3 within 1%, gain 111 +- 2"):
-        cfg = scn.ScenarioConfig()
+        cfg = BASELINE
         scn.compare_scenarios(cfg)  # warm-up
         t0 = time.perf_counter()
         result = scn.compare_scenarios(cfg)
@@ -42,9 +44,9 @@ def test_criterion_01_combined_success_probabilities():
 
 def test_criterion_02_skr_reproduction():
     with criterion(2, "instantaneous SKR 8.12e3 / 9.03e5 bits/s within 1.5% at the calibrated bracket"):
-        q = QKDParams()
+        q = BASELINE.qkd
         assert skr.key_bracket(q) == pytest.approx(0.03812, abs=1e-10)
-        result = scn.compare_scenarios(scn.ScenarioConfig())
+        result = scn.compare_scenarios(BASELINE)
         assert result.skr_dual == pytest.approx(8.12e3, rel=0.015)
         assert result.skr_buffered == pytest.approx(9.03e5, rel=0.015)
 
@@ -54,14 +56,16 @@ def test_criterion_03_calibration_free_gain():
         rng = np.random.default_rng(2024)
         for _ in range(100):
             e = float(rng.uniform(0.0, 0.08))
-            link = lb.OpticalLinkParams(
+            link = replace(
+                BASELINE.link,
                 divergence_half_angle=float(rng.uniform(2e-6, 8e-6)),
                 pointing_jitter_rms=float(rng.uniform(0.0, 3e-6)),
                 receiver_radius=float(rng.uniform(0.3, 0.7)),
                 zenith_transmission=float(rng.uniform(0.5, 0.95)),
                 detector_efficiency=float(rng.uniform(0.3, 1.0)),
             )
-            qkd = QKDParams(
+            qkd = replace(
+                BASELINE.qkd,
                 channel_use_rate=float(rng.uniform(1e6, 1e9)),
                 qber_x=e,
                 qber_z=e,
@@ -69,7 +73,8 @@ def test_criterion_03_calibration_free_gain():
                 herald_probability=float(rng.uniform(0.1, 1.0)),
                 mode_count=int(rng.integers(1, 200)),
             )
-            cfg = scn.ScenarioConfig(
+            cfg = replace(
+                BASELINE,
                 link=link,
                 qkd=qkd,
                 dual_elevation=float(rng.uniform(math.radians(10.0), math.pi / 2)),
@@ -82,13 +87,13 @@ def test_criterion_03_calibration_free_gain():
             rate_ratio = result.skr_buffered / result.skr_dual
             eta_ratio = result.eta_buffered / result.eta_dual
             assert abs(rate_ratio / eta_ratio - 1.0) < 1e-9
-        baseline = scn.compare_scenarios(scn.ScenarioConfig()).gain
+        baseline = scn.compare_scenarios(BASELINE).gain
         assert abs(baseline - 111.0) <= 2.0
 
 
 def test_criterion_04_buffer_time():
     with criterion(4, "buffer time for a 3267.9 km station separation is 463 +- 1 s"):
-        t = geo.buffer_time(3267.9, geo.OrbitalConfig())
+        t = geo.buffer_time(3267.9, BASELINE.orbit)
         assert abs(t - 463.0) <= 1.0
 
 
@@ -103,7 +108,7 @@ def test_criterion_06_diffraction_oracle():
         worst = 0.0
         for l in np.linspace(100e3, 3000e3, 10):
             for sigma in np.linspace(0.0, 5e-6, 10):
-                params = lb.OpticalLinkParams(pointing_jitter_rms=float(sigma))
+                params = replace(BASELINE.link, pointing_jitter_rms=float(sigma))
                 analytic = lb.collected_fraction(float(l), params)
                 reference = references.collected_fraction_quadrature(float(l), params)
                 worst = max(worst, abs(analytic - reference) / analytic)
@@ -199,7 +204,7 @@ def test_criterion_07_pde_property_suite():
 
 def test_criterion_08_analytic_memory_chain():
     with criterion(8, "analytic memory factors 0.9525 and 0.9497 within 1e-4; saturated 0.9046 +- 1e-3"):
-        ens = EnsembleParams()
+        ens = ensemble_params(RunConfig(), "paper-literal")
         spin_factor = math.exp(-math.pi * ens.alkali_decay / ens.exchange_coupling)
         assert spin_factor == pytest.approx(0.9525, abs=1e-4)
         comb_factor = afc.comb_dephasing_factor(8.0)
@@ -211,7 +216,7 @@ def test_criterion_08_analytic_memory_chain():
 
 def test_criterion_09_structure_and_properties():
     with criterion(9, "map monotonicity, baseline gain >= 100, entropy symmetry and clamping (1000 cases)"):
-        cfg = scn.ScenarioConfig()
+        cfg = BASELINE
         ranges = np.linspace(500.0, 2500.0, 21)
         jitters = np.linspace(0.0, 5e-6, 21)
         downlink = scn.downlink_probability_map(ranges, jitters, cfg)
@@ -230,7 +235,8 @@ def test_criterion_09_structure_and_properties():
         for _ in range(1000):
             e = float(rng.uniform(0.0, 1.0))
             assert skr.binary_entropy(e) == pytest.approx(skr.binary_entropy(1.0 - e), abs=1e-12)
-            q = QKDParams(
+            q = replace(
+                BASELINE.qkd,
                 qber_x=float(rng.uniform(0.0, 0.5)),
                 qber_z=float(rng.uniform(0.0, 0.5)),
                 ec_inefficiency=float(rng.uniform(1.0, 2.0)),

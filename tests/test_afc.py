@@ -3,7 +3,10 @@ import math
 import pytest
 
 from satqlink import afc
-from satqlink.spindyn import EnsembleParams
+from satqlink.config import RunConfig, ensemble_params
+from satqlink.domain import replace
+
+ENS = ensemble_params(RunConfig(), "paper-literal")
 
 
 def test_finesse():
@@ -50,7 +53,7 @@ def test_comb_dephasing_factor():
 
 
 def test_total_memory_efficiency():
-    ens = EnsembleParams()
+    ens = ENS
     comb = afc.AFCParams()
     saturated = afc.ControlPulse(duration=1.0, rabi_frequency=1e6)
     eta = afc.total_memory_efficiency(saturated, ens, comb)
@@ -59,16 +62,16 @@ def test_total_memory_efficiency():
     assert eta <= math.exp(-math.pi * ens.alkali_decay / ens.exchange_coupling)
     assert eta <= afc.comb_dephasing_factor(afc.finesse(comb))
 
-    lossless_spin = EnsembleParams(alkali_decay=0.0)
+    lossless_spin = replace(ens, alkali_decay=0.0)
     sharp = afc.AFCParams(total_bandwidth=27e9, tooth_spacing=96e6, tooth_width=96e6 / 1e6,
                           homogeneous_linewidth=0.0)
     assert afc.total_memory_efficiency(saturated, lossless_spin, sharp) == pytest.approx(1.0, rel=1e-9)
 
     assert afc.total_memory_efficiency(afc.ControlPulse(), ens, comb) == 0.0
-    no_channel = EnsembleParams(exchange_coupling=0.0)
+    no_channel = replace(ens, exchange_coupling=0.0)
     assert afc.total_memory_efficiency(saturated, no_channel, comb) == 0.0
 
 
 def test_ensemble_params_validation():
     with pytest.raises(ValueError):
-        EnsembleParams(exchange_coupling=-1.0)
+        replace(ENS, exchange_coupling=-1.0)

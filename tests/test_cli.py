@@ -16,8 +16,11 @@ from hypothesis import strategies as st
 
 import satqlink
 from satqlink import afc, cli, config, formatting, geometry, linkbudget, scenario, skr, spindyn
-from satqlink.geometry import OrbitalConfig, slant_range_from_elevation
+from satqlink.domain import replace
+from satqlink.geometry import slant_range_from_elevation
 from satqlink.spindyn import SolverFailure
+
+BASELINE = config.scenario_config(config.RunConfig())  # the baseline operating point
 
 
 def test_help_exits_zero(run_cli):
@@ -152,7 +155,7 @@ def test_gainmap_baseline_cell(run_cli, tmp_path):
 
 
 def test_gainmap_self_comparison_unity(run_cli, tmp_path):
-    l20 = slant_range_from_elevation(math.radians(20.0), OrbitalConfig())
+    l20 = slant_range_from_elevation(math.radians(20.0), BASELINE.orbit)
     out = tmp_path / "o"
     cp = run_cli(
         "gainmap", "--out", out,
@@ -383,6 +386,19 @@ def test_overflowed_schedule_is_refused_before_any_work(run_cli, tmp_path, monke
     assert not (tmp_path / "kymograph.csv").exists()
 
 
+def test_cell_radius_whose_shells_underflow_is_a_config_error(run_cli, tmp_path, monkeypatch):
+    # at 1e-300 m every shell volume of a 16-point grid rounds to 0, and the
+    # initial state's normalisation would divide by zero (a RuntimeWarning,
+    # an error here as in CI)
+    monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+    cp = run_cli("memory", "--grid", 16, "--samples", 3, "--set", "cell_radius_m=1e-300",
+                 "--out", tmp_path, timeout=10)
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("configuration error: ") and "cell_radius" in cp.stderr
+    assert "Traceback" not in cp.stderr
+    assert not (tmp_path / "kymograph.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [("memory", "--grid", "16", "--samples", "3", "--storage", "nan"),
@@ -480,25 +496,24 @@ def test_public_names_resolve():
 def _integrate_with_sample_times(times):
     grid = spindyn.RadialGrid(0.01, 16)
     schedule = spindyn.ProtocolSchedule(dark_interval=1.0, exchange_window=1.0)
-    ens = spindyn.EnsembleParams(exchange_coupling=1.0)
+    ens = replace(config.ensemble_params(config.RunConfig(), "paper-literal"), exchange_coupling=1.0)
     spindyn.integrate(spindyn.initial_state(grid), schedule, ens, grid, sample_times=np.array(times))
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda: geometry.elevation_from_slant_range(math.nan, OrbitalConfig()), "slant_range"),
-    (lambda: geometry.elevation_from_slant_range(math.inf, OrbitalConfig()), "slant_range"),
-    (lambda: geometry.buffer_time(math.nan, OrbitalConfig()), "ogs_separation"),
-    (lambda: geometry.buffer_time(math.inf, OrbitalConfig()), "ogs_separation"),
-    (lambda: OrbitalConfig(altitude=math.inf), "altitude"),
+    (lambda: geometry.elevation_from_slant_range(math.nan, BASELINE.orbit), "slant_range"),
+    (lambda: geometry.elevation_from_slant_range(math.inf, BASELINE.orbit), "slant_range"),
+    (lambda: geometry.buffer_time(math.nan, BASELINE.orbit), "ogs_separation"),
+    (lambda: geometry.buffer_time(math.inf, BASELINE.orbit), "ogs_separation"),
+    (lambda: replace(BASELINE.orbit, altitude=math.inf), "altitude"),
     (lambda: skr.feasibility(math.nan, 1.0), "memory_lifetime"),
     (lambda: skr.feasibility(1.0, math.nan), "buffer_interval"),
     (lambda: skr.feasibility(math.inf, math.inf), "memory_lifetime"),
     (lambda: spindyn.ProtocolSchedule(dark_interval=math.inf), "dark_interval"),
     (lambda: _integrate_with_sample_times([0.0, math.nan, 1.0]), "earliest_sample_time"),
-    (lambda: linkbudget.beam_radius(math.inf, linkbudget.OpticalLinkParams()), "propagation_distance"),
-    (lambda: linkbudget.collected_fraction(math.inf, linkbudget.OpticalLinkParams()), "slant_range"),
-    (lambda: linkbudget.single_link_efficiency(0.5, math.inf, linkbudget.OpticalLinkParams()),
-     "slant_range"),
+    (lambda: linkbudget.beam_radius(math.inf, BASELINE.link), "propagation_distance"),
+    (lambda: linkbudget.collected_fraction(math.inf, BASELINE.link), "slant_range"),
+    (lambda: linkbudget.single_link_efficiency(0.5, math.inf, BASELINE.link), "slant_range"),
     (lambda: afc.comb_dephasing_factor(math.inf), "finesse"),
     (lambda: afc.multimode_capacity(math.inf, 96e6), "total_bandwidth"),
 ], ids=["elevation_from_slant_range-nan", "elevation_from_slant_range-inf", "buffer_time-nan",
@@ -667,8 +682,8 @@ assert not missing, missing
 def test_memory_loads_no_scipy(tmp_path):
     """memory under every preset, on a 600-point grid, with optical windows
     (the closed-form {P, S} window) and with a user-set transfer loads no
-    scipy, no numpy.ma and no link-budget module; satqlink.scenario is
-    imported only when a link command runs."""
+    scipy, no numpy.ma and no link-budget or key-rate module; satqlink.scenario
+    is imported only when a link command runs."""
     script = f"""
 import sys
 import satqlink
@@ -682,7 +697,8 @@ for argv in (["--preset", "rescaled"], ["--preset", "lossless"],
     assert cli.main(["memory", "--out", out, *argv]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
-link = ("numpy.ma", "satqlink.scenario", "satqlink.linkbudget", "satqlink.geometry", "satqlink.afc")
+link = ("numpy.ma", "satqlink.scenario", "satqlink.linkbudget", "satqlink.geometry", "satqlink.afc",
+        "satqlink.skr")
 loaded = [m for m in link if m in sys.modules]
 assert not loaded, loaded
 for argv in (["scenario"], ["linkmap"]):

@@ -115,10 +115,37 @@ def test_scenario_builder():
 
 
 def test_default_config_builds_the_domain_defaults():
-    # The baseline operating point is written twice, as RunConfig defaults and
-    # as the domain classes' defaults; the two copies must not drift apart.
-    assert cm.scenario_config(cm.RunConfig()) == ScenarioConfig()
-    assert cm.ensemble_params(cm.RunConfig(), "paper-literal") == EnsembleParams()
+    # RunConfig holds the only defaults; the packs it builds are written out
+    # here in the packs' own units, which pins every unit conversion.
+    assert cm.scenario_config(cm.RunConfig()) == ScenarioConfig(
+        orbit=OrbitalConfig(earth_radius=6371.0, altitude=500.0, gravitational_parameter=398600.0),
+        link=OpticalLinkParams(
+            wavelength=795e-9, divergence_half_angle=3e-6, pointing_jitter_rms=1e-6,
+            receiver_radius=0.5, zenith_transmission=0.8, detector_efficiency=0.70,
+        ),
+        qkd=QKDParams(
+            channel_use_rate=90e6, qber_x=0.09657329074620885, qber_z=0.09657329074620885,
+            ec_inefficiency=1.10, herald_probability=1.0, mode_count=112, memory_lifetime=463.0,
+        ),
+        dual_elevation=math.radians(20.0), dual_slant_range=1461.9, buffered_slant_range=500.0,
+        ogs_separation=3267.9, eta_mem=0.74,
+    )
+    literal = EnsembleParams(
+        exchange_coupling=2.00e-5, alkali_decay=3.1e-7, noble_decay=0.0, alkali_detuning=0.0,
+        noble_detuning=1.11e-3, alkali_diffusion=1.02e-8, noble_diffusion=2.05e-8,
+        optical_decay=2.0 * math.pi * 5.96e6,
+    )
+    lossless = EnsembleParams(
+        exchange_coupling=2.00e-5 * 1e4, alkali_decay=0.0, noble_decay=0.0, alkali_detuning=0.0,
+        noble_detuning=0.0, alkali_diffusion=0.0, noble_diffusion=0.0, optical_decay=0.0,
+    )
+    expected = {
+        "paper-literal": literal,
+        "rescaled": replace(literal, exchange_coupling=2.00e-5 * 1e4),
+        "lossless": lossless,
+    }
+    for preset in cm.ENSEMBLE_PRESETS:
+        assert cm.ensemble_params(cm.RunConfig(), preset) == expected[preset], preset
 
 
 def test_ensemble_presets():
@@ -177,15 +204,21 @@ def test_removed_keys_are_unknown(key):
         cm.parse_config(f"eta_mem = 0.5\n{key} = 0.5\n", source="old.txt")
 
 
-# Every domain class with float inputs, and the arguments it needs besides them.
+def _arguments(record) -> dict:
+    return {name: getattr(record, name) for name in record._fields}
+
+
+# Every domain class with float inputs, and the arguments it needs besides
+# them: a baseline pack's, for the classes without defaults.
+_BASELINE = cm.scenario_config(cm.RunConfig())
 _DOMAIN_CLASSES = {
-    OrbitalConfig: {},
-    OpticalLinkParams: {},
-    QKDParams: {},
+    OrbitalConfig: _arguments(_BASELINE.orbit),
+    OpticalLinkParams: _arguments(_BASELINE.link),
+    QKDParams: _arguments(_BASELINE.qkd),
     AFCParams: {},
-    EnsembleParams: {},
+    EnsembleParams: _arguments(cm.ensemble_params(cm.RunConfig(), "paper-literal")),
     ControlPulse: {},
-    ScenarioConfig: {},
+    ScenarioConfig: _arguments(_BASELINE),
     ProtocolSchedule: {},
 }
 _FLOAT_FIELDS = [

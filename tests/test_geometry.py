@@ -5,8 +5,10 @@ import pytest
 
 import references
 from satqlink import geometry as geo
+from satqlink.config import RunConfig, scenario_config
+from satqlink.domain import replace
 
-ORBIT = geo.OrbitalConfig()  # 6371 km, 500 km, 398600 km^3/s^2
+ORBIT = scenario_config(RunConfig()).orbit  # 6371 km, 500 km, 398600 km^3/s^2
 
 
 def test_zenith_slant_range_equals_altitude_exactly():
@@ -84,14 +86,14 @@ def test_pass_geometry_invariants():
 
 def test_orbital_period():
     assert geo.orbital_period(ORBIT) == pytest.approx(5668.147510287317, rel=1e-12)
-    surface = geo.OrbitalConfig(altitude=0.0)
+    surface = replace(ORBIT, altitude=0.0)
     assert geo.orbital_period(surface) == pytest.approx(5060.8402520035215, rel=1e-12)
 
 
 def test_orbital_period_scaling_law():
     # doubling the orbit radius multiplies the period by 2^1.5
-    base = geo.OrbitalConfig(earth_radius=6371.0, altitude=500.0)
-    doubled = geo.OrbitalConfig(earth_radius=6371.0, altitude=500.0 + base.orbit_radius)
+    base = replace(ORBIT, earth_radius=6371.0, altitude=500.0)
+    doubled = replace(ORBIT, earth_radius=6371.0, altitude=500.0 + base.orbit_radius)
     assert geo.orbital_period(doubled) / geo.orbital_period(base) == pytest.approx(2.0 ** 1.5, rel=1e-12)
 
 
@@ -122,8 +124,8 @@ def test_domain_errors():
 
 def test_orbital_config_validation():
     with pytest.raises(ValueError):
-        geo.OrbitalConfig(earth_radius=0.0)
+        replace(ORBIT, earth_radius=0.0)
     with pytest.raises(ValueError):
-        geo.OrbitalConfig(altitude=-1.0)
+        replace(ORBIT, altitude=-1.0)
     with pytest.raises(ValueError):
-        geo.OrbitalConfig(gravitational_parameter=0.0)
+        replace(ORBIT, gravitational_parameter=0.0)

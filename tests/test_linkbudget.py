@@ -5,9 +5,10 @@ import pytest
 
 import references
 from satqlink import linkbudget as lb
+from satqlink.config import RunConfig, scenario_config
 from satqlink.domain import replace
 
-LINK = lb.OpticalLinkParams()  # 795 nm, 3 urad, 1 urad jitter, 0.5 m pupil
+LINK = scenario_config(RunConfig()).link  # 795 nm, 3 urad, 1 urad jitter, 0.5 m pupil
 
 
 def test_waist_derived_from_divergence():
@@ -104,13 +105,13 @@ def test_single_link_efficiency_factor_sets():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        lb.OpticalLinkParams(wavelength=0.0)
+        replace(LINK, wavelength=0.0)
     with pytest.raises(ValueError):
-        lb.OpticalLinkParams(pointing_jitter_rms=-1e-6)
+        replace(LINK, pointing_jitter_rms=-1e-6)
     with pytest.raises(ValueError):
-        lb.OpticalLinkParams(zenith_transmission=0.0)
+        replace(LINK, zenith_transmission=0.0)
     with pytest.raises(ValueError):
-        lb.OpticalLinkParams(detector_efficiency=1.2)
+        replace(LINK, detector_efficiency=1.2)
     with pytest.raises(ValueError):
         lb.collected_fraction(0.0, LINK)
     with pytest.raises(ValueError):

@@ -13,22 +13,33 @@ import satqlink
 from satqlink import afc, config, geometry, linkbudget, scenario, skr, spindyn
 from satqlink.domain import Record, replace
 
+
+def _arguments(record) -> dict:
+    return {name: getattr(record, name) for name in record._fields}
+
+
+_BASELINE = config.scenario_config(config.RunConfig())
+
 # Per record class: the arguments of one valid instance (hashable values, so
 # that hashes can be compared), one valid change, and one out-of-domain
 # change (None where the class validates nothing).
 _CASES = {
     config.RunConfig: ({}, {"eta_mem": 0.5}, None),
-    geometry.OrbitalConfig: ({}, {"altitude": 600.0}, {"altitude": -1.0}),
-    linkbudget.OpticalLinkParams: ({}, {"pointing_jitter_rms": 2e-6}, {"detector_efficiency": 2.0}),
-    skr.QKDParams: ({}, {"mode_count": 7}, {"mode_count": 0}),
-    scenario.ScenarioConfig: ({}, {"orbit": geometry.OrbitalConfig(altitude=600.0)}, {"eta_mem": 2.0}),
+    geometry.OrbitalConfig: (_arguments(_BASELINE.orbit), {"altitude": 600.0}, {"altitude": -1.0}),
+    linkbudget.OpticalLinkParams: (
+        _arguments(_BASELINE.link), {"pointing_jitter_rms": 2e-6}, {"detector_efficiency": 2.0}),
+    skr.QKDParams: (_arguments(_BASELINE.qkd), {"mode_count": 7}, {"mode_count": 0}),
+    scenario.ScenarioConfig: (
+        _arguments(_BASELINE), {"orbit": replace(_BASELINE.orbit, altitude=600.0)}, {"eta_mem": 2.0}),
     scenario.ScenarioResult: (
         {"eta_dual": 4e-5, "eta_buffered": 4.7e-3, "skr_dual": 1.0, "skr_buffered": 2.0,
          "gain": 2.0, "t_buffer": 100.0, "feasible": True},
         {"feasible": False}, None),
     afc.AFCParams: ({}, {"tooth_width": 24e6}, {"tooth_width": 0.0}),
     afc.ControlPulse: ({}, {"duration": 1e-6}, {"duration": -1.0}),
-    spindyn.EnsembleParams: ({}, {"noble_decay": 1e-6}, {"alkali_decay": math.inf}),
+    spindyn.EnsembleParams: (
+        _arguments(config.ensemble_params(config.RunConfig(), "paper-literal")),
+        {"noble_decay": 1e-6}, {"alkali_decay": math.inf}),
     spindyn.SpinFieldState: (
         {"optical": (0j, 0j), "alkali": (1 + 0j, 0j), "noble": (0j, 0j)},
         {"noble": (0j, 1j)}, {"noble": (0j,)}),
@@ -47,17 +58,30 @@ _VALIDATED = [cls for cls, (_, _, bad) in _CASES.items() if bad is not None]
 _WITH_REQUIRED = [cls for cls in _CLASSES if set(cls._fields) - set(vars(cls))]
 
 
-def _annotated_fields() -> dict:
-    """Class name -> annotated attribute names, in order, of every Record
+def _field_nodes() -> dict:
+    """Class name -> the annotated assignments, in order, of every Record
     subclass in src/satqlink, read from the source rather than the class."""
     found = {}
     for path in Path(satqlink.__file__).parent.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.ClassDef) and any(
                     isinstance(b, ast.Name) and b.id == "Record" for b in node.bases):
-                found[node.name] = [f.target.id for f in node.body
+                found[node.name] = [f for f in node.body
                                     if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
     return found
+
+
+def _annotated_fields() -> dict:
+    """Class name -> annotated attribute names, in order, of every Record subclass."""
+    return {name: [f.target.id for f in fields] for name, fields in _field_nodes().items()}
+
+
+def test_only_the_run_config_states_the_operating_point():
+    # RunConfig's defaults are the baseline operating point, and the packs
+    # built from it have none; the three others hold values that no other
+    # module states.
+    defaulted = {name for name, fields in _field_nodes().items() if any(f.value is not None for f in fields)}
+    assert defaulted == {"RunConfig", "ProtocolSchedule", "AFCParams", "ControlPulse"}
 
 
 def _mirror(cls):

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satqlink import geometry as geo, linkbudget as lb, scenario as scn
+from satqlink.config import RunConfig, scenario_config
 from satqlink.domain import replace
 from satqlink.formatting import csv_float
-from satqlink.skr import QKDParams
 
-CFG = scn.ScenarioConfig()  # baseline operating point
+CFG = scenario_config(RunConfig())  # baseline operating point
 
 
 def test_combined_eta_dual_matches_reference():
@@ -91,14 +91,14 @@ def test_compare_scenarios_dead_memory():
 
 
 def test_compare_scenarios_at_error_threshold():
-    at_threshold = replace(CFG, qkd=QKDParams(qber_x=0.5, qber_z=0.5))
+    at_threshold = replace(CFG, qkd=replace(CFG.qkd, qber_x=0.5, qber_z=0.5))
     result = scn.compare_scenarios(at_threshold)
     assert result.skr_dual == 0.0 and result.skr_buffered == 0.0
     assert result.eta_dual == pytest.approx(scn.compare_scenarios(CFG).eta_dual, rel=1e-12)
 
 
 def test_infeasible_memory_lifetime():
-    short = replace(CFG, qkd=QKDParams(memory_lifetime=100.0))
+    short = replace(CFG, qkd=replace(CFG.qkd, memory_lifetime=100.0))
     assert scn.compare_scenarios(short).feasible is False
 
 
@@ -218,11 +218,11 @@ def test_grid_csv_layout():
 
 def test_scenario_config_validation():
     with pytest.raises(ValueError):
-        scn.ScenarioConfig(dual_slant_range=0.0)
+        replace(CFG, dual_slant_range=0.0)
     with pytest.raises(ValueError):
-        scn.ScenarioConfig(dual_elevation=0.0)
+        replace(CFG, dual_elevation=0.0)
     with pytest.raises(ValueError):
-        scn.ScenarioConfig(eta_mem=1.5)
+        replace(CFG, eta_mem=1.5)
 
 
 def test_improvement_factor_agrees_with_compare_scenarios():

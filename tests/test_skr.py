@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from satqlink import skr
+from satqlink.config import RunConfig, scenario_config
+from satqlink.domain import replace
+
+QKD = scenario_config(RunConfig()).qkd  # 90 MHz, 112 modes, calibrated bracket
 
 
 def test_binary_entropy_edges_and_peak():
@@ -30,30 +34,30 @@ def test_binary_entropy_domain():
 
 
 def test_default_bracket_is_calibrated():
-    assert skr.key_bracket(skr.QKDParams()) == pytest.approx(0.03812, abs=1e-12)
+    assert skr.key_bracket(QKD) == pytest.approx(0.03812, abs=1e-12)
 
 
 def test_key_fraction():
-    clean = skr.QKDParams(qber_x=0.0, qber_z=0.0, ec_inefficiency=1.0)
+    clean = replace(QKD, qber_x=0.0, qber_z=0.0, ec_inefficiency=1.0)
     assert skr.key_fraction(0.4, clean) == pytest.approx(0.2, rel=1e-12)
     # above the error threshold no key is extractable
-    noisy = skr.QKDParams(qber_x=0.25, qber_z=0.25, ec_inefficiency=1.2)
+    noisy = replace(QKD, qber_x=0.25, qber_z=0.25, ec_inefficiency=1.2)
     assert skr.key_bracket(noisy) < 0.0
     assert skr.key_fraction(0.9, noisy) == 0.0
-    assert skr.key_fraction(4.70e-3, skr.QKDParams()) == pytest.approx(8.9582e-05, rel=1e-9)
+    assert skr.key_fraction(4.70e-3, QKD) == pytest.approx(8.9582e-05, rel=1e-9)
 
 
 def test_key_fraction_monotone_in_errors():
     y = 0.5
-    brackets = [skr.key_fraction(y, skr.QKDParams(qber_x=e, qber_z=e)) for e in
+    brackets = [skr.key_fraction(y, replace(QKD, qber_x=e, qber_z=e)) for e in
                 (0.0, 0.02, 0.05, 0.08, 0.10)]
     assert all(b <= a for a, b in zip(brackets, brackets[1:]))
-    fs = [skr.key_fraction(y, skr.QKDParams(ec_inefficiency=f)) for f in (1.0, 1.1, 1.3, 1.6)]
+    fs = [skr.key_fraction(y, replace(QKD, ec_inefficiency=f)) for f in (1.0, 1.1, 1.3, 1.6)]
     assert all(b <= a for a, b in zip(fs, fs[1:]))
 
 
 def test_instantaneous_skr_values():
-    q = skr.QKDParams()  # 90 MHz, 112 modes, calibrated bracket
+    q = QKD
     assert skr.instantaneous_skr(q, 4.226e-5) == pytest.approx(8119.194048, rel=1e-9)
     assert skr.instantaneous_skr(q, 4.700e-3) == pytest.approx(902986.56, rel=1e-9)
     # within published rounding of the reference operating point
@@ -62,11 +66,11 @@ def test_instantaneous_skr_values():
 
 
 def test_instantaneous_skr_linearity():
-    base = skr.QKDParams(qber_x=0.0, qber_z=0.0, ec_inefficiency=1.0)
-    single = skr.QKDParams(qber_x=0.0, qber_z=0.0, ec_inefficiency=1.0, mode_count=1)
+    base = replace(QKD, qber_x=0.0, qber_z=0.0, ec_inefficiency=1.0)
+    single = replace(QKD, qber_x=0.0, qber_z=0.0, ec_inefficiency=1.0, mode_count=1)
     assert skr.instantaneous_skr(single, 0.2) == pytest.approx(90e6 * 0.1, rel=1e-12)
     assert skr.instantaneous_skr(base, 0.2) == pytest.approx(112 * 90e6 * 0.1, rel=1e-12)
-    doubled_rate = skr.QKDParams(channel_use_rate=180e6, qber_x=0.0, qber_z=0.0, ec_inefficiency=1.0)
+    doubled_rate = replace(QKD, channel_use_rate=180e6, qber_x=0.0, qber_z=0.0, ec_inefficiency=1.0)
     assert skr.instantaneous_skr(doubled_rate, 0.2) == pytest.approx(
         2.0 * skr.instantaneous_skr(base, 0.2), rel=1e-12
     )
@@ -109,10 +113,10 @@ def test_feasibility():
 
 def test_qkd_params_validation():
     with pytest.raises(ValueError):
-        skr.QKDParams(qber_x=0.6)
+        replace(QKD, qber_x=0.6)
     with pytest.raises(ValueError):
-        skr.QKDParams(ec_inefficiency=0.9)
+        replace(QKD, ec_inefficiency=0.9)
     with pytest.raises(ValueError):
-        skr.QKDParams(mode_count=0)
+        replace(QKD, mode_count=0)
     with pytest.raises(ValueError):
-        skr.QKDParams(channel_use_rate=0.0)
+        replace(QKD, channel_use_rate=0.0)

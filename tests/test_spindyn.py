@@ -667,6 +667,20 @@ def test_transfer_step_cap_counts_the_contour_steps(monkeypatch):
     assert not steps
 
 
+def test_phase_boundaries_do_not_depend_on_sum(monkeypatch):
+    # Python 3.12's sum() is compensated; a boundary summed by sum() would
+    # differ in its last bit from the boundary integrate steps to, and the
+    # sample grid would end past the schedule (478.70796326794897 s instead
+    # of 478.7079632679489 s for the rescaled default)
+    monkeypatch.setattr(sd, "sum", math.fsum, raising=False)
+    g = sd.RadialGrid(R, 16)
+    ens = ensemble_params(RunConfig(), "rescaled")
+    sched = sd.ProtocolSchedule(dark_interval=463.0)
+    traj = protocol_trajectory(ens, sched, g, 121)
+    assert sd.schedule_duration(sched, ens) == traj.times[-1]
+    assert sd.retrieval_instant(sched, ens) in traj.times.tolist()
+
+
 def test_phase_below_the_time_resolution_is_rejected():
     # 1e-14 s is lost in t0 ~ 1e3 s, yet the 1e10 s^-1 drive would act on it
     g = sd.RadialGrid(R, 16)
