@@ -196,7 +196,7 @@ def _cmd_linkmap(args, cfg: cfgmod.RunConfig, out: Path) -> int:
     jitters = _axis("jitter axis", args.jitter_min * 1e-6, args.jitter_max * 1e-6, args.jitter_steps)
     grid = scn.downlink_probability_map(ranges, jitters, cfgmod.scenario_config(cfg))
     path = out / "linkmap.csv"
-    path.write_text(scn.linkmap_csv(ranges, jitters, grid), encoding="utf-8")
+    scn.linkmap_csv(ranges, jitters, grid, path)
     sys.stdout.write(f"wrote {path} ({grid.size} cells)\n")
     return EXIT_OK
 
@@ -210,7 +210,7 @@ def _cmd_gainmap(args, cfg: cfgmod.RunConfig, out: Path) -> int:
     memories = _axis("memory axis", args.mem_min, args.mem_max, args.mem_steps)
     grid = scn.gain_map(elevations, memories, cfgmod.scenario_config(cfg))
     path = out / "gainmap.csv"
-    path.write_text(scn.gainmap_csv(elevations, memories, grid), encoding="utf-8")
+    scn.gainmap_csv(elevations, memories, grid, path)
     sys.stdout.write(f"wrote {path} ({grid.size} cells)\n")
     return EXIT_OK
 

@@ -12,12 +12,13 @@ geometry note.
 from __future__ import annotations
 
 import math
+from array import array
 
 from . import geometry, linkbudget, skr
 from .domain import (
     ELEVATION, NON_NEGATIVE, POSITIVE, PROBABILITY, Domain, Record, require, require_fields,
 )
-from .formatting import csv_block, csv_float, csv_floats, table_float
+from .formatting import csv_float, table_float, write_long_csv
 
 __all__ = [
     "ScenarioConfig",
@@ -216,35 +217,21 @@ def csv_comparison(result: ScenarioResult) -> str:
     return "quantity,value\n" + "".join(f"{k},{v}\n" for k, v in _comparison_items(result))
 
 
-def _grid_csv(header: str, rows: list[float], columns: list[float], grid: Grid) -> str:
-    """Long-format CSV, one line per cell in row-major order.
-
-    ``rows`` and ``columns`` are the axis values as printed; each is
-    formatted once, not once per cell. Each grid row becomes one
-    ``csv_block`` led by its row label.
-    """
-    column_labels = csv_floats(columns)
-    blocks = [header, "\n"]
-    for row_label, values in zip(csv_floats(rows), grid):
-        blocks.append(csv_block(row_label, map(",".join, zip(column_labels, csv_floats(values)))))
-    return "".join(blocks)
-
-
-def linkmap_csv(range_axis_km, jitter_axis_rad, grid: Grid) -> str:
-    """Long-format CSV of the downlink map, range-major row order."""
-    return _grid_csv(
-        "slant_range_km,pointing_jitter_urad,success_probability",
+def linkmap_csv(range_axis_km, jitter_axis_rad, grid: Grid, path) -> None:
+    """Write the downlink map to ``path`` as long-format CSV, range-major row order."""
+    write_long_csv(
+        [(path, "slant_range_km,pointing_jitter_urad,success_probability", (0,))],
         [float(l) for l in range_axis_km],
         [float(s) * 1e6 for s in jitter_axis_rad],
-        grid,
+        ((array("d", row),) for row in grid),
     )
 
 
-def gainmap_csv(elevation_axis_rad, eta_mem_axis, grid: Grid) -> str:
-    """Long-format CSV of the gain map, elevation-major row order."""
-    return _grid_csv(
-        "elevation_deg,memory_efficiency,gain",
+def gainmap_csv(elevation_axis_rad, eta_mem_axis, grid: Grid, path) -> None:
+    """Write the gain map to ``path`` as long-format CSV, elevation-major row order."""
+    write_long_csv(
+        [(path, "elevation_deg,memory_efficiency,gain", (0,))],
         [math.degrees(t) for t in elevation_axis_rad],
         [float(m) for m in eta_mem_axis],
-        grid,
+        ((array("d", row),) for row in grid),
     )

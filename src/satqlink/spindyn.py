@@ -50,7 +50,7 @@ import numpy as np
 
 from .config import INITIAL_PROFILES, ConfigError
 from .domain import FINITE, NON_NEGATIVE, POSITIVE, Domain, Record, require, require_fields
-from .formatting import csv_block, csv_floats
+from .formatting import write_long_csv
 
 __all__ = [
     "SolverFailure",
@@ -673,36 +673,15 @@ def simulate_protocol(
 
 def write_kymograph_csv(out_dir, result: ProtocolResult) -> None:
     """Write ``kymograph_s.csv``, ``kymograph_k.csv`` and ``kymograph.csv``
-    into the directory ``out_dir`` (a ``pathlib.Path``).
-
-    One line per (t, r), row-major in time: t_seconds and r_over_R, then
-    S_norm, K_norm or both. One pass over time writes each time sample to
-    all three files as one ``csv_block`` per file. A sample whose S and K
-    rows are bit for bit those of the sample before it (a storage plateau)
-    reuses that sample's formatted tails; any other sample is formatted
-    once. Bits, not ``==``, decide: -0.0 prints unlike 0.0.
-    """
-    radii = csv_floats(result.radii_over_r.tolist())
-    with (
-        open(out_dir / "kymograph_s.csv", "w", encoding="utf-8", newline="\n") as s_file,
-        open(out_dir / "kymograph_k.csv", "w", encoding="utf-8", newline="\n") as k_file,
-        open(out_dir / "kymograph.csv", "w", encoding="utf-8", newline="\n") as both_file,
-    ):
-        s_file.write("t_seconds,r_over_R,S_norm\n")
-        k_file.write("t_seconds,r_over_R,K_norm\n")
-        both_file.write("t_seconds,r_over_R,S_norm,K_norm\n")
-        last_key = None
-        for t, s_row, k_row in zip(
-            csv_floats(result.times.tolist()), result.kymograph_alkali, result.kymograph_noble
-        ):
-            key = s_row.tobytes() + k_row.tobytes()
-            if key != last_key:
-                last_key = key
-                s = csv_floats(s_row.tolist())
-                k = csv_floats(k_row.tolist())
-                s_tails = list(map(",".join, zip(radii, s)))
-                k_tails = list(map(",".join, zip(radii, k)))
-                both_tails = list(map(",".join, zip(radii, s, k)))
-            s_file.write(csv_block(t, s_tails))
-            k_file.write(csv_block(t, k_tails))
-            both_file.write(csv_block(t, both_tails))
+    into ``out_dir`` (a ``pathlib.Path``): one line per (t, r), row-major in
+    time, t_seconds and r_over_R then S_norm, K_norm or both."""
+    write_long_csv(
+        [
+            (out_dir / "kymograph_s.csv", "t_seconds,r_over_R,S_norm", (0,)),
+            (out_dir / "kymograph_k.csv", "t_seconds,r_over_R,K_norm", (1,)),
+            (out_dir / "kymograph.csv", "t_seconds,r_over_R,S_norm,K_norm", (0, 1)),
+        ],
+        result.times.tolist(),
+        result.radii_over_r.tolist(),
+        zip(result.kymograph_alkali, result.kymograph_noble),
+    )

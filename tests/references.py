@@ -8,7 +8,9 @@
   over the receiver pupil, against which ``linkbudget.collected_fraction``
   is checked (acceptance criterion 06);
 - ``slant_range`` and ``elevation`` are the forward pass geometry, against
-  which the closed-form inverses of ``satqlink.geometry`` are checked.
+  which the closed-form inverses of ``satqlink.geometry`` are checked;
+- ``naive_grid_csv`` formats a map cell by cell, against which the map
+  writers of ``satqlink.scenario`` are checked.
 
 The quadrature and LSODA are slow by design and need scipy, which no
 command loads.
@@ -25,6 +27,7 @@ from scipy.linalg import expm
 from scipy.special import i0e
 
 from satqlink import spindyn as sd
+from satqlink.formatting import csv_float
 from satqlink.geometry import _ASIN_TOL, OrbitalConfig
 from satqlink.linkbudget import OpticalLinkParams, beam_radius
 from satqlink.spindyn import EnsembleParams, RadialGrid, SpinFieldState
@@ -245,3 +248,12 @@ def elevation(ground_track: float, orbit: OrbitalConfig) -> float:
             raise ValueError(f"arcsin argument {arg} outside [-1, 1]")
         arg = 1.0
     return math.pi / 2.0 - central - math.asin(arg)
+
+
+def naive_grid_csv(header: str, row_labels, column_labels, grid) -> str:
+    """Long-format CSV of the 2-D array ``grid``, one ``csv_float`` per field."""
+    lines = [header]
+    for i, row in enumerate(row_labels):
+        for j, column in enumerate(column_labels):
+            lines.append(f"{csv_float(row)},{csv_float(column)},{csv_float(grid[i, j])}")
+    return "\n".join(lines) + "\n"

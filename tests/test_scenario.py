@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import references
 from satqlink import geometry as geo, linkbudget as lb, scenario as scn
 from satqlink.config import RunConfig, scenario_config
 from satqlink.domain import replace
-from satqlink.formatting import csv_float
 
 CFG = scenario_config(RunConfig())  # baseline operating point
 
@@ -193,12 +193,12 @@ def test_markdown_and_record_outputs():
     assert len(csv_text.splitlines()) == 8
 
 
-def test_grid_csv_layout():
+def test_grid_csv_layout(tmp_path):
     ranges = np.array([500.0, 1000.0])
     jitters = np.array([0.0, 1e-6])
     grid = scn.downlink_probability_map(ranges, jitters, CFG)
-    text = scn.linkmap_csv(ranges, jitters, grid)
-    lines = text.splitlines()
+    scn.linkmap_csv(ranges, jitters, grid, tmp_path / "linkmap.csv")
+    lines = (tmp_path / "linkmap.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "slant_range_km,pointing_jitter_urad,success_probability"
     assert len(lines) == 5
     # range-major ordering, jitter in microradians
@@ -209,8 +209,8 @@ def test_grid_csv_layout():
     elevations = np.array([math.radians(45.0), math.radians(90.0)])
     memories = np.array([0.5, 1.0])
     gains = scn.gain_map(elevations, memories, CFG)
-    gtext = scn.gainmap_csv(elevations, memories, gains)
-    glines = gtext.splitlines()
+    scn.gainmap_csv(elevations, memories, gains, tmp_path / "gainmap.csv")
+    glines = (tmp_path / "gainmap.csv").read_text(encoding="utf-8").splitlines()
     assert glines[0] == "elevation_deg,memory_efficiency,gain"
     assert glines[1].startswith("45,0.5,")
     assert glines[4].startswith("90,1,")
@@ -273,30 +273,24 @@ def test_gain_map_matches_per_row_reference():
             assert grid[i][j] == pytest.approx(mem * arm * arm / ref, rel=1e-12, abs=0.0)
 
 
-def _naive_grid_csv(header, row_labels, column_labels, grid):
-    lines = [header]
-    for i, row in enumerate(row_labels):
-        for j, column in enumerate(column_labels):
-            lines.append(f"{csv_float(row)},{csv_float(column)},{csv_float(grid[i, j])}")
-    return "\n".join(lines) + "\n"
-
-
-def test_map_writers_match_naive_reference():
+def test_map_writers_match_naive_reference(tmp_path):
     rng = np.random.default_rng(7)
     ranges = np.sort(rng.uniform(500.0, 2500.0, 6))
     jitters = np.sort(rng.uniform(0.0, 5e-6, 5))
     grid = rng.uniform(0.0, 0.1, (6, 5)) / 3.0
-    assert scn.linkmap_csv(ranges, jitters, grid) == _naive_grid_csv(
+    scn.linkmap_csv(ranges, jitters, grid, tmp_path / "linkmap.csv")
+    assert (tmp_path / "linkmap.csv").read_bytes() == references.naive_grid_csv(
         "slant_range_km,pointing_jitter_urad,success_probability",
         [float(l) for l in ranges], [float(s) * 1e6 for s in jitters], grid,
-    )
+    ).encode()
     elevations = np.sort(rng.uniform(0.2, math.pi / 2, 6))
     memories = np.sort(rng.uniform(0.0, 1.0, 5))
     gains = rng.uniform(1.0, 200.0, (6, 5)) / 7.0
-    assert scn.gainmap_csv(elevations, memories, gains) == _naive_grid_csv(
+    scn.gainmap_csv(elevations, memories, gains, tmp_path / "gainmap.csv")
+    assert (tmp_path / "gainmap.csv").read_bytes() == references.naive_grid_csv(
         "elevation_deg,memory_efficiency,gain",
         [math.degrees(float(t)) for t in elevations], [float(m) for m in memories], gains,
-    )
+    ).encode()
 
 
 # Axis points as distinct per-mille steps of their span, so neighbouring

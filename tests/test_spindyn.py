@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import references
-from satqlink import spindyn as sd
+from satqlink import scenario as scn, spindyn as sd
 from satqlink.spindyn import EnsembleParams
 from satqlink.config import ConfigError, RunConfig, ensemble_params
 from satqlink.formatting import csv_float
@@ -601,10 +601,19 @@ def _synthetic_result(s_rows, k_rows):
 @example(kymographs=([[0.25, 1e300]] * 3, [[0.5, 5e-324], [0.5, 5e-324], [0.5, 0.0]]))
 @example(kymographs=([[math.nan]] * 3, [[2.2250738585072014e-308 / 3.0]] * 3))
 def test_kymograph_writer_reuses_plateau_rows_exactly(kymographs):
+    # the map writers share the plateau reuse, so each field's rows also go
+    # through one of them, on the kymograph's axes
     res = _synthetic_result(*kymographs)
     with tempfile.TemporaryDirectory() as out:
         sd.write_kymograph_csv(Path(out), res)
         _assert_kymograph_files_match_naive_reference(Path(out), res)
+        for rows in kymographs:
+            path = Path(out) / "linkmap.csv"
+            scn.linkmap_csv(res.times, res.radii_over_r, scn.Grid(rows), path)
+            assert path.read_bytes() == references.naive_grid_csv(
+                "slant_range_km,pointing_jitter_urad,success_probability",
+                res.times.tolist(), [float(r) * 1e6 for r in res.radii_over_r], np.array(rows),
+            ).encode()
 
 
 def test_schedule_validation():
