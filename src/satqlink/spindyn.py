@@ -6,25 +6,15 @@ diffusion conserves the linear volume moment under a reflective wall and
 the operator is second-order accurate.
 
 Every schedule phase has constant controls, so within a phase the fields
-obey a linear system y' = A y with a constant A, and the state at any time
-of the phase is exp(tau A) y0. A phase is given by a 3x3 block that acts at
-every node (decay, detuning, control and exchange couplings) and the
-diffusion constants of P, S and K. A phase switches on at most one
-coupling, the control in an optical window or the exchange in a transfer,
-so each group of fields that it couples holds one or two fields. Each
-group is propagated exactly in an eigenbasis of the Laplacian: the
-flux-form Laplacian is symmetric once scaled by the square root of the
-shell volumes, so ``numpy.linalg.eigh`` diagonalises it, once per grid and
-wall condition. In that basis a single field (storage) and the {P, S}
-optical window split into independent modes of one or two fields, each
-exponentiated in closed form. The Dirichlet stencil of S differs from the
-Neumann stencil of K only at the wall node, so in the Neumann basis an
-{S, K} transfer is n 2 x 2 blocks plus a rank-one wall term; its
-exponential is a trapezoid sum of the resolvent along a Talbot contour
-(Trefethen, Weideman & Schmelzer, BIT 46, 653 (2006)), each resolvent
-solved by Sherman-Morrison in O(n). Without diffusion every group is a 2 x
-2 block per node, in closed form. Integration restarts at every control
-discontinuity.
+obey a linear system y' = A y with a constant A (``_phase_operator``), and
+the state at any time of the phase is exp(tau A) y0. ``_plan`` settles each
+phase before any linear algebra: its sample times and every refusal.
+``_groups`` settles how each group of fields that a phase couples is
+propagated: the eigenbasis of the Laplacian (``numpy.linalg.eigh``, once
+per grid and wall condition) in which it splits into closed-form blocks per
+mode, and the step of the Talbot contour quadrature (Trefethen, Weideman &
+Schmelzer, BIT 46, 653 (2006)) that sums the wall term of an {S, K}
+transfer. Integration restarts at every control discontinuity.
 
 Boundary conditions follow the wall physics: the alkali spin wave is
 destroyed at the glass wall (value pinned to zero at the wall face), the
@@ -427,50 +417,61 @@ def _contour_frames(blocks, wall, x, taus, longest):
     return frames
 
 
-def _group_propagate(local: np.ndarray, diffusion: np.ndarray, pinned: np.ndarray,
-                     grid: RadialGrid, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """exp(tau A) y at every tau of ``taus`` for one coupled group of one or
-    two fields: its local block (g x g), diffusion constants and wall
-    conditions, and its state y (n, g).
+def _group_propagate(local: np.ndarray, diffusion: np.ndarray, pinned: np.ndarray, basis: str | None,
+                     longest: float | None, grid: RadialGrid, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """exp(tau A) y at every tau of ``taus`` for one group of ``_groups``:
+    its local block (g x g), diffusion constants, wall conditions, basis and
+    longest contour step, and its state y (n, g).
 
     Field f diffuses by D_f L_N - sigma_f e_n e_n^T: D_f times the Neumann
     Laplacian, less a wall term sigma_f = D_f (L_N - L_D) at the wall node
-    when the field is pinned there. The group is propagated in one eigenbasis
-    of the Laplacian: none without diffusion, the Dirichlet one when every
-    diffusing field is pinned, the Neumann one otherwise. In it A splits into
-    n blocks g x g, one per mode, exponentiated in closed form; in the
-    Neumann basis a diffusing pinned field (S in a transfer) adds a rank-one
-    wall term, summed through a contour integral of the resolvent.
+    when the field is pinned there. In the basis A splits into n blocks
+    g x g, one per mode, exponentiated in closed form; with a contour step,
+    the wall term is summed through a contour integral of the resolvent.
     """
     n, g = y.shape
-    diffusing = diffusion != 0.0
     # Shift by the rightmost decay and the centre of the detunings: the
     # spectrum then lies left of the imaginary axis, centred on the real one.
     own = np.diag(local)
     mu = own.real.max() + 0.5j * (own.imag.max() + own.imag.min())
     blocks = np.repeat((local - mu * np.eye(g))[None], n, axis=0)
-    wall = None
-    if diffusing.any():
-        bc = "dirichlet" if pinned[diffusing].all() else "neumann"
-        lam, q = grid.eigenbasis(bc)
+    x = y
+    if basis is not None:
+        lam, q = grid.eigenbasis(basis)
         blocks[:, range(g), range(g)] += lam[:, None] * diffusion
         root = np.sqrt(grid.shell_volumes)[:, None]
         x = q.T @ (root * y)
-        if bc == "neumann" and (pinned & diffusing).any():
-            f = int(np.argmax(pinned))
-            lap_n, lap_d = (_laplacian_diagonals(grid, wall_bc)[1][-1] for wall_bc in ("neumann", "dirichlet"))
-            # one product per stencil, rounded as in D_f L under each wall condition
-            wall = (f, diffusion[f] * lap_n - diffusion[f] * lap_d, q[-1])
-    else:
-        x = y
-    if wall is None:
+    if longest is None:
         frames = (_block_exp(blocks, taus) @ x[:, :, None])[..., 0]
     else:
-        frames = _contour_frames(blocks, wall, x, taus, _longest_contour_step(local))
+        f = int(np.argmax(pinned))
+        lap_n, lap_d = (_laplacian_diagonals(grid, wall_bc)[1][-1] for wall_bc in ("neumann", "dirichlet"))
+        # one product per stencil, rounded as in D_f L under each wall condition
+        wall = (f, diffusion[f] * lap_n - diffusion[f] * lap_d, q[-1])
+        frames = _contour_frames(blocks, wall, x, taus, longest)
     frames *= np.exp(mu * taus)[:, None, None]
-    if not diffusing.any():
+    if basis is None:
         return frames
     return np.tensordot(frames, q, axes=(1, 1)).transpose(0, 2, 1) / root
+
+
+def _groups(local: np.ndarray, diffusion: np.ndarray, where: str) -> list:
+    """(fields, basis, longest) of each group of fields that a phase couples:
+    the eigenbasis that propagates it, None without diffusion, and its longest
+    contour step, None in closed form. Raises ValueError, naming ``where``,
+    for a phase that switches on both the control and the exchange."""
+    groups = []
+    for fields in _coupled_groups(local):
+        if len(fields) > 2:
+            raise ValueError(f"{where} switches on both the control and the exchange")
+        pinned, diffusing = _PINNED[fields], diffusion[fields] != 0.0
+        basis = longest = None
+        if diffusing.any():
+            basis = "dirichlet" if pinned[diffusing].all() else "neumann"
+            if basis == "neumann" and (pinned & diffusing).any():
+                longest = _longest_contour_step(local[np.ix_(fields, fields)])
+        groups.append((fields, basis, longest))
+    return groups
 
 
 def solve_ivp(*args, **kwargs):
@@ -487,24 +488,20 @@ def solve_ivp(*args, **kwargs):
 def _propagate(phase, grid: RadialGrid, y: np.ndarray, t0: float, t_eval: np.ndarray,
                where: str) -> np.ndarray:
     """The (n, 3) state at every time of ``t_eval`` in the phase that starts
-    at ``t0`` from state ``y``, each coupled group exactly. Raises
+    at ``t0`` from state ``y``, each group of ``_groups`` exactly. Raises
     :class:`SolverFailure`, naming ``where``, when a linear-algebra routine
-    fails or the phase ends in a non-finite state, and ValueError for a
-    phase that switches on both the control and the exchange."""
+    fails or the phase ends in a non-finite state."""
     local, diffusion = phase
-    groups = _coupled_groups(local)
-    if any(len(group) > 2 for group in groups):
-        raise ValueError(f"{where} switches on both the control and the exchange")
     taus = t_eval - t0
     frames = np.zeros((len(t_eval),) + y.shape, dtype=np.complex128)
     try:
         # An invalid operation leaves a NaN, which the check below reports.
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            for group in groups:
-                if y[:, group].any():
-                    frames[:, :, group] = _group_propagate(
-                        local[np.ix_(group, group)], diffusion[group], _PINNED[group],
-                        grid, y[:, group], taus,
+            for fields, basis, longest in _groups(local, diffusion, where):
+                if y[:, fields].any():
+                    frames[:, :, fields] = _group_propagate(
+                        local[np.ix_(fields, fields)], diffusion[fields], _PINNED[fields], basis, longest,
+                        grid, y[:, fields], taus,
                     )
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"{where}: {exc}") from exc
@@ -555,6 +552,41 @@ def retrieval_instant(schedule: ProtocolSchedule, ens: EnsembleParams) -> float:
     return schedule_duration(schedule, ens)
 
 
+def _plan(schedule: ProtocolSchedule, ens: EnsembleParams, grid: RadialGrid,
+          requested: np.ndarray) -> list:
+    """(where, t0, t_eval, phase) of each phase that moves the state; t_eval
+    holds the times of ``requested`` inside the phase, then its end. Raises
+    every refusal before any linear algebra, as :class:`ConfigError`: a
+    contour step of ``_groups`` taken over ``_MAX_CONTOUR_STEPS`` times, or a
+    phase below the float resolution of its start time that would move the
+    state (one that would not is dropped)."""
+    phases = _schedule_phases(schedule, ens)
+    plan = []
+    for index, (t0, t1, duration, omega, j_value) in enumerate(phases):
+        phase = _phase_operator(ens, omega, j_value)
+        where = f"phase {index + 1} of {len(phases)} (t = {t0:g} to {t1:g} s)"
+        for _, _, longest in _groups(*phase, where):
+            if longest is not None and duration > _MAX_CONTOUR_STEPS * longest:
+                raise ConfigError(
+                    f"phase {index + 1} of {len(phases)}, a {duration:g} s transfer, needs more than "
+                    f"{_MAX_CONTOUR_STEPS} contour steps of at most {longest:.3g} s; shorten --exchange-window, "
+                    "raise exchange_coupling, or narrow the gap between alkali_detuning and noble_detuning")
+        if t1 == t0:
+            # exp(duration A) moves the state by at most about ||A||_1 duration.
+            if duration * _norm1(phase, grid) > _NEGLIGIBLE_PHASE:
+                raise ConfigError(
+                    f"phase {index + 1} of {len(phases)} ({duration:g} s) is shorter than "
+                    f"the time resolution at t = {t0:g} s"
+                )
+            continue
+        inside = requested[(requested > t0 + 1e-15 * max(t1, 1.0)) & (requested < t1 - 1e-15 * max(t1, 1.0))]
+        # sorted and distinct, as np.unique gives them without loading numpy.ma
+        t_eval = np.sort(np.append(inside, t1))
+        t_eval = t_eval[np.append(t_eval[:-1] != t_eval[1:], True)]
+        plan.append((where, t0, t_eval, phase))
+    return plan
+
+
 def integrate(
     initial: SpinFieldState,
     schedule: ProtocolSchedule,
@@ -564,57 +596,24 @@ def integrate(
 ) -> Trajectory:
     """Integrate one protocol schedule from an initial state.
 
-    Each schedule phase has constant control values, so the propagation is
-    restarted at every phase boundary (exact event handling at the control
-    discontinuities). Within a phase, each group of fields that the phase
-    couples is propagated exactly in an eigenbasis of the Laplacian: in
-    closed form for a single field, an optical window or any group without
-    diffusion, and by a Talbot contour quadrature of the resolvent for an
-    {S, K} transfer. Each eigenbasis is computed once per grid, when a phase
-    first needs it. States are evaluated at ``sample_times``; phase
-    boundaries are always included. Raises :class:`SolverFailure`, naming
-    the phase, when a linear-algebra routine fails or a phase ends in a
-    non-finite state; ValueError for a sample time that is NaN or outside
-    the schedule, or a phase that still matters but is shorter than the
-    float resolution of its start time; and, before any propagation,
-    :class:`ConfigError` for a transfer of over ``_MAX_CONTOUR_STEPS`` steps.
+    The controls are constant within a phase, so the propagation restarts at
+    every phase boundary, and each phase is propagated exactly as ``_plan``
+    and ``_groups`` decide. States are evaluated at ``sample_times`` and at
+    every phase boundary. Raises ValueError for a sample time that is NaN or
+    outside the schedule, the :class:`ConfigError` refusals of ``_plan``
+    before any propagation, and :class:`SolverFailure`, naming the phase,
+    when a linear-algebra routine fails or a phase ends in a non-finite state.
     """
-    phases = _schedule_phases(schedule, ens)
-    total = phases[-1][1] if phases else 0.0
-    for index, (_, _, duration, _, j_value) in enumerate(phases):
-        # a transfer in which S and K both diffuse is stepped along the contour
-        if j_value and ens.alkali_diffusion and ens.noble_diffusion:
-            longest = _longest_contour_step(_phase_operator(ens, 0.0, j_value)[0][1:, 1:])
-            if duration > _MAX_CONTOUR_STEPS * longest:
-                raise ConfigError(
-                    f"phase {index + 1} of {len(phases)}, a {duration:g} s transfer, needs more than "
-                    f"{_MAX_CONTOUR_STEPS} contour steps of at most {longest:.3g} s; shorten --exchange-window, "
-                    "raise exchange_coupling, or narrow the gap between alkali_detuning and noble_detuning")
-
     requested = np.array([], dtype=float) if sample_times is None else np.asarray(sample_times, dtype=float)
     if requested.size:
+        total = schedule_duration(schedule, ens)
         require(Domain(f"within the {total:g} s schedule", 0.0, total * (1.0 + 1e-12)),
                 earliest_sample_time=requested.min(), latest_sample_time=requested.max())
 
     y = np.stack((initial.optical, initial.alkali, initial.noble), axis=1).astype(np.complex128)
     times = [0.0]
     frames = [y[None]]
-
-    for index, (t0, t1, duration, omega, j_value) in enumerate(phases):
-        phase = _phase_operator(ens, omega, j_value)
-        if t1 == t0:
-            # exp(duration A) moves the state by at most about ||A||_1 duration.
-            if duration * _norm1(phase, grid) > _NEGLIGIBLE_PHASE:
-                raise ValueError(
-                    f"phase {index + 1} of {len(phases)} ({duration:g} s) is shorter than "
-                    f"the time resolution at t = {t0:g} s"
-                )
-            continue
-        inside = requested[(requested > t0 + 1e-15 * max(t1, 1.0)) & (requested < t1 - 1e-15 * max(t1, 1.0))]
-        # sorted and distinct, as np.unique gives them without loading numpy.ma
-        t_eval = np.sort(np.append(inside, t1))
-        t_eval = t_eval[np.append(t_eval[:-1] != t_eval[1:], True)]
-        where = f"phase {index + 1} of {len(phases)} (t = {t0:g} to {t1:g} s)"
+    for where, t0, t_eval, phase in _plan(schedule, ens, grid, requested):
         block = _propagate(phase, grid, y, t0, t_eval, where)
         times.extend(t_eval)
         frames.append(block)
@@ -627,7 +626,6 @@ def integrate(
         alkali=stacked[:, :, 1],
         noble=stacked[:, :, 2],
     )
-
 
 
 def simulate_protocol(

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import commands
 import satqlink
 from satqlink import afc, cli, config, formatting, geometry, linkbudget, scenario, skr, spindyn
 from satqlink.domain import replace
@@ -320,9 +321,14 @@ def test_memory_eigen_failure_is_a_solver_failure(monkeypatch, tmp_path, capsys,
     assert "eta_mem" not in captured.out
 
 
-def test_memory_storage_beyond_the_time_resolution(tmp_path, capsys):
-    # storage is exact, so 1e300 s costs one eigenbasis; the 7.9 s reverse
-    # transfer after it is lost in the float resolution of t = 1e300 s
+def test_memory_storage_beyond_the_time_resolution(tmp_path, capsys, monkeypatch):
+    # the 7.9 s reverse transfer after 1e300 s of storage is lost in the
+    # float resolution of t = 1e300 s; the plan refuses it before any
+    # eigenbasis, so an eigh that raises is never reached
+    def eigh(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     code = cli.main([
         "memory", "--out", str(tmp_path / "o"), "--grid", "16", "--samples", "3",
         "--storage", "1e300",
@@ -428,6 +434,19 @@ def test_integer_flag_below_its_bound_is_rejected_by_name(tmp_path, capsys, comm
     assert not list(tmp_path.iterdir())
     args = cli.build_parser().parse_args([command, flag, str(low)])
     assert getattr(args, flag[2:].replace("-", "_")) == low
+
+
+def test_command_list_exit_codes_and_efficiencies(tmp_path, capsys):
+    # the command list of the checkout equivalence check, in process: each
+    # exit code, and the eta_mem line of every memory run
+    for n, (args, code, eta) in enumerate(commands.COMMANDS):
+        try:
+            got = cli.main([*args, "--out", str(tmp_path / str(n))])
+        except SystemExit as exc:  # a usage error
+            got = exc.code
+        out = capsys.readouterr().out
+        assert got == code, args
+        assert [line for line in out.splitlines() if line.startswith("eta_mem")] == ([eta] if eta else []), args
 
 
 @pytest.mark.parametrize(

@@ -676,6 +676,47 @@ def test_transfer_step_cap_counts_the_contour_steps(monkeypatch):
     assert not steps
 
 
+_WINDOW = [([0, 1], "dirichlet", None), ([2], "neumann", None)]
+_STORAGE = [([0], None, None), ([1], "dirichlet", None), ([2], "neumann", None)]
+
+
+def _transfer(steps):
+    return [([0], None, None), ([1, 2], "neumann", steps)]
+
+
+@pytest.mark.parametrize(("preset", "timing", "expected", "longest_step", "eigh_calls"), [
+    ("rescaled", {}, [_transfer(3), _STORAGE, _transfer(3)], 3.7396, 2),
+    ("paper-literal", {}, [_transfer(61), _STORAGE, _transfer(61)], 1304.35, 2),
+    ("lossless", {}, [[([0], None, None), ([1, 2], None, None)],
+                      [([0], None, None), ([1], None, None), ([2], None, None)],
+                      [([0], None, None), ([1, 2], None, None)]], None, 0),
+    ("rescaled", {"write_time": 1e-6, "read_time": 1e-6, "rabi_frequency": 1e6},
+     [_WINDOW, _transfer(3), _STORAGE, _transfer(3), _WINDOW], 3.7396, 2),
+], ids=["rescaled", "paper-literal", "lossless", "optical-windows"])
+def test_plan_fixes_each_phase_before_any_eigenbasis(monkeypatch, preset, timing, expected, longest_step,
+                                                     eigh_calls):
+    # the memory command's plans: per phase, each coupled group's basis and
+    # contour step count; the plan computes no eigenbasis, and the run then
+    # computes one per distinct basis
+    g = sd.RadialGrid(R, 16)
+    ens = ensemble_params(RunConfig(), preset)
+    sched = sd.ProtocolSchedule(dark_interval=463.0, **timing)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda matrix: calls.append(len(matrix)) or eigh(matrix))
+    plan, steps = [], []
+    for where, t0, t_eval, phase in sd._plan(sched, ens, g, np.array([])):
+        groups = sd._groups(*phase, where)
+        plan.append([(fields, basis, longest and math.ceil((t_eval[-1] - t0) / longest))
+                     for fields, basis, longest in groups])
+        steps += [longest for _, _, longest in groups if longest is not None]
+    assert plan == expected
+    assert steps == pytest.approx([longest_step] * len(steps), rel=1e-5)
+    assert not calls
+    sd.simulate_protocol(ens, sched, g, time_samples=3)
+    assert len(calls) == len({basis for groups in plan for _, basis, _ in groups} - {None}) == eigh_calls
+
+
 def test_phase_boundaries_do_not_depend_on_sum(monkeypatch):
     # Python 3.12's sum() is compensated; a boundary summed by sum() would
     # differ in its last bit from the boundary integrate steps to, and the
