@@ -267,6 +267,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
+    except OSError as exc:  # such as an --out that names a file
+        sys.stderr.write(f"file error: {exc}\n")
+        return EXIT_CONFIG
 
 
 def entry() -> int:

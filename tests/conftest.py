@@ -27,3 +27,13 @@ def run_cli():
         )
 
     return _run
+
+
+def pytest_terminal_summary(terminalreporter):
+    """The worst deviation that ``test_command_table_row`` recorded for each quantity."""
+    worst = {}
+    for report in (r for reports in terminalreporter.stats.values() for r in reports):
+        for name, value in getattr(report, "user_properties", ()):
+            worst[name] = max(worst.get(name, (value, "")), (value, report.nodeid.partition("[")[2][:-1]))
+    for name, (value, line) in worst.items():
+        terminalreporter.write_line(f"worst {name} deviation: {value:.3g} ({line})")

@@ -10,7 +10,10 @@
 - ``slant_range`` and ``elevation`` are the forward pass geometry, against
   which the closed-form inverses of ``satqlink.geometry`` are checked;
 - ``naive_grid_csv`` formats a map cell by cell, against which the map
-  writers of ``satqlink.scenario`` are checked.
+  writers of ``satqlink.scenario`` are checked;
+- ``check_reference`` holds a run's artifacts to a reference recorded in
+  ``perfbench/reference/``, for the rows of ``commands.COMMANDS`` that name
+  one.
 
 The quadrature and LSODA are slow by design and need scipy, which no
 command loads.
@@ -18,8 +21,11 @@ command loads.
 
 from __future__ import annotations
 
+import gzip
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
@@ -31,6 +37,8 @@ from satqlink.formatting import csv_float
 from satqlink.geometry import _ASIN_TOL, OrbitalConfig
 from satqlink.linkbudget import OpticalLinkParams, beam_radius
 from satqlink.spindyn import EnsembleParams, RadialGrid, SpinFieldState
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 # Right-hand-side evaluations one LSODA phase may take: about 20x the largest
 # phase of a legitimate run, so that a runaway phase fails instead of never
@@ -257,3 +265,49 @@ def naive_grid_csv(header: str, row_labels, column_labels, grid) -> str:
         for j, column in enumerate(column_labels):
             lines.append(f"{csv_float(row)},{csv_float(column)},{csv_float(grid[i, j])}")
     return "\n".join(lines) + "\n"
+
+
+def check_reference(name: str, out: Path, stdout: str) -> float | None:
+    """Assert that the artifacts a run wrote to ``out``, and its ``stdout``,
+    match the recorded reference ``name`` in ``REFERENCE_DIR``; the largest
+    S or K deviation of kymographs, None for any other reference.
+
+    - ``*.json.gz``, kymographs of an RK45-era solve: the ``eta_mem`` line
+      verbatim, the S and K files equal to projections of ``kymograph.csv``,
+      times and radii to 1e-12 relative, S and K (normalised to peak 1) to
+      1e-6 absolute;
+    - ``*.csv``, a map, to 1e-12 relative; a ``*.sampled.csv`` holds every
+      97th row of a 320x320 map, each with its row index;
+    - any other file, byte for byte.
+    """
+    path = REFERENCE_DIR / name
+    if name.endswith(".json.gz"):
+        return _check_kymographs(json.loads(gzip.decompress(path.read_bytes())), out, stdout)
+    if not name.endswith(".csv"):
+        assert (out / name).read_bytes() == path.read_bytes(), name
+        return None
+    got_header, *got = (out / f"{name.split('-')[0]}.csv").read_text(encoding="utf-8").splitlines()
+    want_header, *want = path.read_text(encoding="utf-8").splitlines()
+    want = np.loadtxt(want, delimiter=",", ndmin=2)
+    if name.endswith(".sampled.csv"):
+        got_header, got, want = "row," + got_header, [got[int(i)] for i in want[:, 0]], want[:, 1:]
+    assert got_header == want_header
+    np.testing.assert_allclose(np.loadtxt(got, delimiter=",", ndmin=2), want, rtol=1e-12, atol=0.0)
+    return None
+
+
+def _check_kymographs(ref: dict, out: Path, stdout: str) -> float:
+    assert stdout.splitlines()[0] == ref["eta_line"]
+    header, *lines = (out / "kymograph.csv").read_text(encoding="utf-8").splitlines()
+    assert header == "t_seconds,r_over_R,S_norm,K_norm"
+    rows = [line.split(",") for line in lines]
+    for field, col in (("S", 2), ("K", 3)):
+        assert (out / f"kymograph_{field.lower()}.csv").read_text(encoding="utf-8").splitlines() == [
+            f"t_seconds,r_over_R,{field}_norm"] + [f"{r[0]},{r[1]},{r[col]}" for r in rows]
+    data = np.array(rows, dtype=float).reshape(len(ref["t"]), len(ref["r"]), 4)
+    assert np.all(data[:, :, 0] == data[:, :1, 0]) and np.all(data[:, :, 1] == data[:1, :, 1])
+    np.testing.assert_allclose(data[:, 0, 0], ref["t"], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(data[0, :, 1], ref["r"], rtol=1e-12, atol=0.0)
+    deviation = np.max(np.abs(data[:, :, 2:].reshape(-1, 2) - np.transpose([ref["S"], ref["K"]])))
+    assert deviation <= 1e-6, deviation
+    return float(deviation)

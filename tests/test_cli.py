@@ -1,6 +1,4 @@
 import ast
-import gzip
-import json
 import math
 import os
 import subprocess
@@ -15,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import commands
+import references
 import satqlink
 from satqlink import afc, cli, config, formatting, geometry, linkbudget, scenario, skr, spindyn
 from satqlink.domain import replace
@@ -51,6 +50,17 @@ def test_scenario_text_format_and_eta_mem_flag(run_cli, tmp_path):
     assert float(record["skr_buffered_bits_per_s"]) == 0.0
     assert float(record["gain"]) == 0.0
     assert float(record["eta_dual"]) > 0.0
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+def test_unusable_output_directory_is_one_line(run_cli, tmp_path, below):
+    # an --out that is, or lies below, an existing file cannot be created
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / below
+    cp = run_cli("scenario", "--out", out, timeout=10)
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("file error: ") and cp.stderr.count("\n") == 1
+    assert str(out).rstrip("/") in cp.stderr
 
 
 def test_scenario_missing_config_file(run_cli, tmp_path):
@@ -436,68 +446,37 @@ def test_integer_flag_below_its_bound_is_rejected_by_name(tmp_path, capsys, comm
     assert getattr(args, flag[2:].replace("-", "_")) == low
 
 
-def test_command_list_exit_codes_and_efficiencies(tmp_path, capsys):
-    # the command list of the checkout equivalence check, in process: each
-    # exit code, and the eta_mem line of every memory run
-    for n, (args, code, eta) in enumerate(commands.COMMANDS):
-        try:
-            got = cli.main([*args, "--out", str(tmp_path / str(n))])
-        except SystemExit as exc:  # a usage error
-            got = exc.code
-        out = capsys.readouterr().out
-        assert got == code, args
-        assert [line for line in out.splitlines() if line.startswith("eta_mem")] == ([eta] if eta else []), args
+@pytest.mark.parametrize("line, code, digest, eta, reference", commands.COMMANDS,
+                         ids=[row[0] for row in commands.COMMANDS])
+def test_command_table_row(line, code, digest, eta, reference, tmp_path, capsys, monkeypatch, record_property):
+    # one row of the table of end-to-end runs, in process; conftest reports
+    # the worst deviations that record_property collects
+    results = []
+    simulate = spindyn.simulate_protocol
 
+    def capture(*args, **kwargs):
+        results.append(simulate(*args, **kwargs))
+        return results[-1]
 
-@pytest.mark.parametrize(
-    "argv, name",
-    [((), "memory-rescaled-n256-s121"),
-     (("--preset", "lossless", "--samples", "301"), "memory-lossless-n256-s301"),
-     (("--grid", "64"), "memory-rescaled-n64-s121")],
-)
-def test_kymographs_match_the_recorded_references(tmp_path, capsys, argv, name):
-    """The benchmark's memory commands against their recorded kymographs:
-    the eta_mem line verbatim, times and radii to 1e-12 relative, values to
-    1e-6 absolute (they are normalised to peak 1)."""
-    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
-    with gzip.open(reference / f"{name}.json.gz", "rt", encoding="utf-8") as handle:
-        ref = json.load(handle)
-    assert cli.main(["memory", "--out", str(tmp_path), *argv]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == ref["eta_line"]
-
-    header, *lines = (tmp_path / "kymograph.csv").read_text(encoding="utf-8").splitlines()
-    assert header == "t_seconds,r_over_R,S_norm,K_norm"
-    rows = [line.split(",") for line in lines]
-    for which, col in (("s", 2), ("k", 3)):
-        got = (tmp_path / f"kymograph_{which}.csv").read_text(encoding="utf-8").splitlines()
-        assert got == [f"t_seconds,r_over_R,{which.upper()}_norm"] + [
-            f"{r[0]},{r[1]},{r[col]}" for r in rows]
-
-    data = np.array(rows, dtype=float)
-    nt, n = len(ref["t"]), len(ref["r"])
-    assert data.shape == (nt * n, 4)
-    t, r = data[:, 0].reshape(nt, n), data[:, 1].reshape(nt, n)
-    assert np.all(t == t[:, :1]) and np.all(r == r[:1])
-    np.testing.assert_allclose(t[:, 0], ref["t"], rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(r[0], ref["r"], rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(data[:, 2], ref["S"], rtol=0.0, atol=1e-6)
-    np.testing.assert_allclose(data[:, 3], ref["K"], rtol=0.0, atol=1e-6)
-
-
-def test_default_artifacts_match_the_recorded_references(tmp_path):
-    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
-    out = str(tmp_path)
-    assert cli.main(["scenario", "--out", out, "--format", "text"]) == 0
-    assert (tmp_path / "scenario.txt").read_bytes() == (reference / "scenario.txt").read_bytes()
-    for command, name in (("linkmap", "linkmap-21x21.csv"), ("gainmap", "gainmap-15x19.csv")):
-        assert cli.main([command, "--out", out]) == 0
-        got = (tmp_path / f"{command}.csv").read_text().splitlines()
-        want = (reference / name).read_text().splitlines()
-        assert got[0] == want[0]
-        got_rows = np.array([[float(x) for x in line.split(",")] for line in got[1:]])
-        want_rows = np.array([[float(x) for x in line.split(",")] for line in want[1:]])
-        assert got_rows.shape == want_rows.shape
-        np.testing.assert_allclose(got_rows, want_rows, rtol=1e-12, atol=0.0)
+    monkeypatch.setattr(spindyn, "simulate_protocol", capture)
+    out = tmp_path / "o"
+    try:
+        assert cli.main([*line.split(), "--out", str(out)]) == code
+    except SystemExit as exc:  # a usage error
+        assert exc.code == code
+    stdout = capsys.readouterr().out
+    printed = [text for text in stdout.splitlines() if text.startswith("eta_mem")]
+    if eta is None:
+        assert printed == []
+    else:
+        assert printed == [f"eta_mem = {eta:.6f}"]
+        deviation = abs(results[0].eta_mem - eta)
+        record_property("eta_mem relative", deviation / eta)
+        assert deviation <= 1e-12 and deviation <= 1e-9 * eta, results[0].eta_mem
+    assert commands.artifact_digest(out) == digest
+    deviation = references.check_reference(reference, out, stdout) if reference else None
+    if deviation is not None:
+        record_property("kymograph absolute", deviation)
 
 
 def test_public_names_resolve():

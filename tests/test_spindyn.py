@@ -759,27 +759,6 @@ def test_default_protocol_eta_matches_tight_rk45(preset, points, eta_rk45):
     assert abs(res.eta_mem - eta_rk45) < 1e-9
 
 
-@pytest.mark.parametrize(
-    "preset, points, optical, eta",
-    [("rescaled", 256, {}, 0.8154428801058261),
-     ("rescaled", 64, {}, 0.8184463604232407),
-     ("lossless", 256, {}, 1.0),
-     ("paper-literal", 32, {}, 8.607134646677816e-09),
-     ("rescaled", 32, {"write_time": 1e-6, "read_time": 1e-6, "rabi_frequency": 1e6},
-      0.7908024485624976)],
-    ids=["rescaled-256", "rescaled-64", "lossless-256", "paper-literal-32", "three-field-32"],
-)
-def test_memory_eta_is_pinned(preset, points, optical, eta):
-    # eta: this solver at 9572916, run as `memory` runs it (463 s storage,
-    # 121 samples); a change that moves a number shows here
-    cfg = RunConfig()
-    ens = ensemble_params(cfg, preset=preset)
-    sched = sd.ProtocolSchedule(dark_interval=463.0, **optical)
-    res = sd.simulate_protocol(ens, sched, sd.RadialGrid(cfg.cell_radius_m, points),
-                               time_samples=121)
-    assert abs(res.eta_mem - eta) < 1e-12
-
-
 def test_three_field_stiff_optical_decay():
     # optical write and read at the rescaled preset's optical decay: the
     # polarization relaxes many orders of magnitude faster than the spins
