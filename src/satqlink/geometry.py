@@ -73,9 +73,16 @@ def elevation_from_slant_range(l: float, orbit: OrbitalConfig) -> float:
 
 
 def orbital_period(orbit: OrbitalConfig) -> float:
-    """Circular-orbit period (s) from Kepler's third law."""
+    """Circular-orbit period (s) from Kepler's third law; a period beyond
+    the float range is a ValueError."""
     a = orbit.orbit_radius
-    return 2.0 * math.pi * math.sqrt(a ** 3 / orbit.gravitational_parameter)
+    try:
+        cube = a ** 3
+    except OverflowError:  # float ** raises where * would give inf
+        cube = math.inf
+    period = 2.0 * math.pi * math.sqrt(cube / orbit.gravitational_parameter)
+    require(POSITIVE, orbital_period=period)
+    return period
 
 
 def buffer_time(ogs_separation: float, orbit: OrbitalConfig) -> float:
@@ -86,4 +93,5 @@ def buffer_time(ogs_separation: float, orbit: OrbitalConfig) -> float:
     """
     require(NON_NEGATIVE, ogs_separation=ogs_separation)
     ground_speed = 2.0 * math.pi * orbit.earth_radius / orbital_period(orbit)
+    require(POSITIVE, ground_speed=ground_speed)
     return ogs_separation / ground_speed

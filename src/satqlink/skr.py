@@ -9,6 +9,7 @@ rate and by the number of parallel temporal modes.
 from __future__ import annotations
 
 import math
+import sys
 
 from .domain import NON_NEGATIVE, POSITIVE, PROBABILITY, Domain, Record, require, require_fields
 
@@ -40,8 +41,8 @@ class QKDParams(Record):
         require_fields(self, Domain("in [0, 0.5]", 0.0, 0.5), "qber_x", "qber_z")
         require_fields(self, Domain("at least 1 and finite", 1.0), "ec_inefficiency")
         require_fields(self, PROBABILITY, "herald_probability")
-        if self.mode_count < 1:
-            raise ValueError("mode_count must be at least 1")
+        if not 1 <= self.mode_count <= sys.float_info.max:
+            raise ValueError("mode_count must be at least 1 and within the float range")
         require_fields(self, NON_NEGATIVE, "memory_lifetime")
 
 
@@ -65,8 +66,11 @@ def key_fraction(yield_probability: float, q: QKDParams) -> float:
 
 
 def instantaneous_skr(q: QKDParams, yield_probability: float) -> float:
-    """Secret bits per second: channel-use rate times mode count times key fraction."""
-    return q.channel_use_rate * q.mode_count * key_fraction(yield_probability, q)
+    """Secret bits per second: channel-use rate times mode count times key
+    fraction; a rate beyond the float range is a ValueError."""
+    rate = q.channel_use_rate * q.mode_count * key_fraction(yield_probability, q)
+    require(NON_NEGATIVE, instantaneous_skr=rate)
+    return rate
 
 
 def yield_dual(eta_a: float, eta_b: float, herald_probability: float = 1.0) -> float:

@@ -1,6 +1,8 @@
 import ast
 import math
 import os
+import re
+import signal
 import subprocess
 import sys
 import types
@@ -77,17 +79,6 @@ def test_scenario_unknown_config_key(run_cli, tmp_path):
     assert "line 2" in cp.stderr and "jiter_urad" in cp.stderr
 
 
-def test_scenario_require_feasible(run_cli, tmp_path):
-    cp = run_cli(
-        "scenario", "--out", tmp_path / "o",
-        "--set", "memory_lifetime_s=100", "--require-feasible",
-    )
-    assert cp.returncode == 3
-    # without the flag the same configuration succeeds
-    cp2 = run_cli("scenario", "--out", tmp_path / "o2", "--set", "memory_lifetime_s=100")
-    assert cp2.returncode == 0
-
-
 def test_config_round_trip_reproduces_bytes(run_cli, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_cli("scenario", "--out", out1, "--format", "text").returncode == 0
@@ -110,22 +101,6 @@ def test_linkmap_small_grid(run_cli, tmp_path):
     lines = (out / "linkmap.csv").read_text().splitlines()
     assert lines[0] == "slant_range_km,pointing_jitter_urad,success_probability"
     assert len(lines) == 5  # header + 4 cells
-
-
-def test_linkmap_rejects_bad_axes(run_cli, tmp_path):
-    cp = run_cli("linkmap", "--out", tmp_path / "o", "--range-steps", 1)
-    assert cp.returncode == 1
-    assert "steps" in cp.stderr
-    cp = run_cli("linkmap", "--out", tmp_path / "o", "--range-min", 900, "--range-max", 800)
-    assert cp.returncode == 1
-
-
-def test_gainmap_rejects_memory_efficiency_above_one(tmp_path, capsys):
-    # as --eta-mem 1.5 is rejected by ScenarioConfig
-    code = cli.main(["gainmap", "--out", str(tmp_path), "--mem-max", "1.5"])
-    assert code == 1
-    assert "eta_mem_axis[-1] must be in [0, 1], got 1.5" in capsys.readouterr().err
-    assert not (tmp_path / "gainmap.csv").exists()
 
 
 def test_linkmap_default_extents_include_operating_jitter(run_cli, tmp_path):
@@ -256,54 +231,12 @@ def test_memory_solver_failure_exit_code(monkeypatch, tmp_path, capsys):
     assert "solver failure" in err and "schedule" in err
 
 
-def test_usage_error_maps_to_config_exit_code(run_cli, tmp_path):
-    cp = run_cli("linkmap", "--range-steps", "many")
-    assert cp.returncode == 1
-
-
-@pytest.mark.parametrize("override", ["altitude_km=nan", "pointing_jitter_urad=inf"])
-def test_non_finite_override_is_a_config_error(tmp_path, capsys, override):
-    code = cli.main(["scenario", "--out", str(tmp_path / "o"), "--set", override])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "configuration error" in captured.err and override.split("=")[0] in captured.err
-    assert captured.out == ""
-
-
 def test_non_finite_config_file_value_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "run.txt"
     path.write_text("altitude_km = nan\n")
     code = cli.main(["scenario", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "configuration error" in capsys.readouterr().err
-
-
-def test_removed_comb_key_is_unknown(tmp_path, capsys):
-    code = cli.main(["scenario", "--out", str(tmp_path / "o"), "--set", "comb_bandwidth_hz=1"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "unknown configuration key 'comb_bandwidth_hz'" in captured.err
-    assert captured.out == ""
-
-
-def test_removed_output_key_is_unknown(tmp_path, capsys):
-    code = cli.main(["scenario", "--out", str(tmp_path / "o"), "--set", "output_format=text"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "unknown configuration key 'output_format'" in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [("linkmap", "--format", "csv"), ("gainmap", "--eta-mem", "0.5"), ("memory", "--rtol", "1e-6")],
-)
-def test_scenario_only_flags_are_usage_errors_elsewhere(tmp_path, capsys, argv):
-    with pytest.raises(SystemExit) as info:
-        cli.main([*argv, "--out", str(tmp_path / "o")])
-    assert info.value.code == 1
-    assert "unrecognized arguments" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("broken", ["raises", "nan"])
@@ -350,16 +283,9 @@ def test_memory_storage_beyond_the_time_resolution(tmp_path, capsys, monkeypatch
     assert "eta_mem" not in captured.out
 
 
-def test_zero_dual_probability_exits_without_a_gain(tmp_path, capsys):
-    code = cli.main(["scenario", "--out", str(tmp_path / "o"), "--set", "detector_efficiency=0"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "configuration error" in captured.err and "gain undefined" in captured.err
-    assert "0x" not in captured.out
-
-
-@pytest.mark.parametrize("override", ["detector_efficiency=0", "receiver_diameter_m=1e-9"])
+@pytest.mark.parametrize("override", ["detector_efficiency=0"])
 def test_gainmap_without_a_dual_probability_exits_without_a_gain(run_cli, tmp_path, override):
+    # through the process entry; the in-process run is a row of the table
     out = tmp_path / "o"
     cp = run_cli("gainmap", "--out", out, "--set", override)
     assert cp.returncode == 1
@@ -385,23 +311,6 @@ def test_transfer_beyond_the_contour_step_cap_is_refused(run_cli, tmp_path, argv
     assert not (tmp_path / "kymograph.csv").exists()
 
 
-@pytest.mark.parametrize(("argv", "message"), [
-    (("--preset", "paper-literal", "--set", "exchange_coupling=1e-320"),
-     "exchange_window must be positive and finite, got inf"),
-    (("--storage", "1.7e308", "--exchange-window", "1e308"),
-     "schedule_duration must be non-negative and finite, got inf"),
-], ids=["denormal-coupling", "overflowed-sum"])
-def test_overflowed_schedule_is_refused_before_any_work(run_cli, tmp_path, monkeypatch, argv, message):
-    # pi / (2 J) is inf for a denormal J, and finite phases can sum to inf;
-    # either is refused before the sample grid is built, where numpy's
-    # linspace warned on the inf end point (an error here, as in CI)
-    monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
-    cp = run_cli("memory", "--grid", 16, "--samples", 3, *argv, "--out", tmp_path, timeout=10)
-    assert cp.returncode == 1
-    assert cp.stderr == f"configuration error: {message}\n"
-    assert not (tmp_path / "kymograph.csv").exists()
-
-
 def test_cell_radius_whose_shells_underflow_is_a_config_error(run_cli, tmp_path, monkeypatch):
     # at 1e-300 m every shell volume of a 16-point grid rounds to 0, and the
     # initial state's normalisation would divide by zero (a RuntimeWarning,
@@ -416,41 +325,24 @@ def test_cell_radius_whose_shells_underflow_is_a_config_error(run_cli, tmp_path,
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [("memory", "--grid", "16", "--samples", "3", "--storage", "nan"),
-     ("memory", "--grid", "16", "--samples", "3", "--exchange-window", "nan"),
-     ("gainmap", "--mem-max", "inf")],
-)
-def test_non_finite_flag_is_a_usage_error(run_cli, tmp_path, argv):
-    cp = run_cli(*argv, "--out", tmp_path / "o")
-    assert cp.returncode == 1
-    assert "expected a finite number" in cp.stderr
-    assert "RuntimeWarning" not in cp.stderr
-    assert "eta_mem" not in cp.stdout
-
-
-@pytest.mark.parametrize(
     "command, flag, low",
     [("memory", "--grid", 16), ("memory", "--samples", 2),
      ("linkmap", "--range-steps", 2), ("linkmap", "--jitter-steps", 2),
      ("gainmap", "--elev-steps", 2), ("gainmap", "--mem-steps", 2)],
 )
-def test_integer_flag_below_its_bound_is_rejected_by_name(tmp_path, capsys, command, flag, low):
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--out", str(tmp_path), flag, str(low - 1)])
-    assert exc.value.code == 1
-    err = capsys.readouterr().err
-    assert f"argument {flag}: must be at least {low}, got {low - 1}" in err
-    assert not list(tmp_path.iterdir())
+def test_integer_flag_at_its_bound_is_accepted(command, flag, low):
+    # the run one below each bound is a row of the command table
     args = cli.build_parser().parse_args([command, flag, str(low)])
     assert getattr(args, flag[2:].replace("-", "_")) == low
 
 
-@pytest.mark.parametrize("line, code, digest, eta, reference", commands.COMMANDS,
+@pytest.mark.parametrize("line, code, digest, eta, reference, last", commands.COMMANDS,
                          ids=[row[0] for row in commands.COMMANDS])
-def test_command_table_row(line, code, digest, eta, reference, tmp_path, capsys, monkeypatch, record_property):
-    # one row of the table of end-to-end runs, in process; conftest reports
-    # the worst deviations that record_property collects
+def test_command_table_row(line, code, digest, eta, reference, last, tmp_path, capsys, monkeypatch,
+                           record_property):
+    # one row of the table of end-to-end runs, in process and within the
+    # table's time limit; a refusal (exit 1) comes before any eigenbasis.
+    # conftest reports the worst deviations that record_property collects
     results = []
     simulate = spindyn.simulate_protocol
 
@@ -458,13 +350,30 @@ def test_command_table_row(line, code, digest, eta, reference, tmp_path, capsys,
         results.append(simulate(*args, **kwargs))
         return results[-1]
 
+    def eigh(matrix):
+        pytest.fail("the refusal came after linear algebra")
+
+    def alarm(signum, frame):
+        pytest.fail(f"no exit within {commands.TIMEOUT_S} s")
+
     monkeypatch.setattr(spindyn, "simulate_protocol", capture)
+    if code == 1:
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
     out = tmp_path / "o"
+    handler = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, commands.TIMEOUT_S)
     try:
         assert cli.main([*line.split(), "--out", str(out)]) == code
-    except SystemExit as exc:  # a usage error
-        assert exc.code == code
-    stdout = capsys.readouterr().out
+        stdout, stderr = capsys.readouterr()
+        assert stderr == (last + "\n" if last else "")
+    except SystemExit as exc:  # a usage error; argparse wraps its usage line with the terminal width
+        stdout, stderr = capsys.readouterr()
+        assert exc.code == code and stderr.splitlines()[-1] == last and not out.exists()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    if code in (1, 2):
+        assert stdout == "" and not list(out.glob("kymograph*.csv"))
     printed = [text for text in stdout.splitlines() if text.startswith("eta_mem")]
     if eta is None:
         assert printed == []
@@ -477,6 +386,50 @@ def test_command_table_row(line, code, digest, eta, reference, tmp_path, capsys,
     deviation = references.check_reference(reference, out, stdout) if reference else None
     if deviation is not None:
         record_property("kymograph absolute", deviation)
+
+
+def test_diff_reports_the_largest_numeric_change(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for name, texts in {"01/same": ("x,1.0\n", "x,1.0\n"),
+                        "01/o/map.csv": ("r,p\n1,100\n2,0.25\n", "r,p\n1,101\n2,-0.25\n"),
+                        "02/stderr": ("error: got 1\n", "fault: got 1\n"),
+                        "02/only": ("", None)}.items():
+        for root, text in zip((a, b), texts):
+            if text is not None:
+                (root / name).parent.mkdir(parents=True, exist_ok=True)
+                (root / name).write_text(text)
+    script = [sys.executable, commands.__file__, "--diff"]
+    cp = subprocess.run([*script, a, b], capture_output=True, text=True)
+    assert cp.returncode == 1
+    assert cp.stdout.splitlines() == [
+        "01/o/map.csv: largest absolute change 1 (line 2), largest relative change 2 (line 3)",
+        f"02/only: only in {a}",
+        "02/stderr: non-numeric text or token count differs at line 1",
+    ]
+    assert subprocess.run([*script, a, a]).returncode == 0
+
+
+_LINK_RUNS = (("scenario", "--format", "markdown"), ("scenario", "--format", "text"),
+              ("scenario", "--format", "csv"), ("linkmap", "--range-steps", "3", "--jitter-steps", "3"),
+              ("gainmap", "--elev-steps", "3", "--mem-steps", "3"))
+_EXTREMES = {float: (0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7e308), int: (0, 1, 10 ** 308, 10 ** 400)}
+_NON_FINITE = re.compile(r"\b(?:inf|nan)\b", re.IGNORECASE)
+
+
+@pytest.mark.parametrize("key", config.RunConfig._fields)
+def test_any_accepted_key_gives_finite_artifacts_or_exit_1(key, tmp_path, monkeypatch):
+    # every key at the extremes of its type through the three link commands:
+    # main returns exit 0, 1 or 3 and writes no inf or nan. memory is left
+    # out: an extreme key can still end there in a solver failure (exit 2).
+    # One parser serves every run: building it is most of a run's time
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    for n, value in enumerate(_EXTREMES[type(getattr(config.RunConfig(), key))]):
+        for m, run in enumerate(_LINK_RUNS):
+            out = tmp_path / f"{n}-{m}"
+            assert cli.main([*run, "--set", f"{key}={value!r}", "--out", str(out)]) in (0, 1, 3)
+            for path in out.glob("*"):
+                assert not _NON_FINITE.search(path.read_text()), (value, run, path.name)
 
 
 def test_public_names_resolve():
