@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from .config import ConfigError, ENSEMBLE_PRESETS, INITIAL_PROFILES
+from .domain import ELEVATION_DEG, NON_NEGATIVE, POSITIVE, PROBABILITY, Domain, require
 
 
 def _package_getattr(name: str):
@@ -48,32 +49,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _finite_float(text: str) -> float:
-    """argparse type for every float flag: NaN and infinities are usage errors."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _number(kind, domain: Domain):
+    """argparse type of a numeric flag: an int or float ``kind`` inside ``domain``."""
 
-
-def _int_at_least(low: int):
-    """argparse type for an integer flag with a lower bound; argparse names
-    the flag in the usage error, and an unparsable value is an "invalid
-    integer value"."""
-
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    def number(text: str):
+        value = kind(text)  # argparse reports a ValueError as "invalid <__name__> value"
+        try:
+            require(domain, value=value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc).removeprefix("value ")) from None
         return value
 
-    return integer
+    number.__name__ = "integer" if kind is int else "float"
+    return number
 
 
 def build_parser() -> argparse.ArgumentParser:
+    non_negative, probability = _number(float, NON_NEGATIVE), _number(float, PROBABILITY)
+    positive, elevation = _number(float, POSITIVE), _number(float, ELEVATION_DEG)
+    steps, points = _number(int, Domain("at least 2", 2)), _number(int, Domain("at least 16", 16))
     parser = _Parser(prog="satqlink", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="configuration file (key = value lines)")
@@ -100,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_scenario.add_argument(
         "--eta-mem",
-        type=lambda text: f"eta_mem={_finite_float(text)!r}",
+        type=lambda text: f"eta_mem={text}",
         dest="overrides",
         action="append",
         metavar="X",
@@ -115,12 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_linkmap = sub.add_parser(
         "linkmap", parents=[common], help="downlink success probability grid"
     )
-    p_linkmap.add_argument("--range-min", type=_finite_float, default=500.0, help="km (default 500)")
-    p_linkmap.add_argument("--range-max", type=_finite_float, default=2500.0, help="km (default 2500)")
-    p_linkmap.add_argument("--range-steps", type=_int_at_least(2), default=21)
-    p_linkmap.add_argument("--jitter-min", type=_finite_float, default=0.0, help="urad (default 0)")
-    p_linkmap.add_argument("--jitter-max", type=_finite_float, default=5.0, help="urad (default 5)")
-    p_linkmap.add_argument("--jitter-steps", type=_int_at_least(2), default=21)
+    p_linkmap.add_argument("--range-min", type=positive, default=500.0, help="km (default 500)")
+    p_linkmap.add_argument("--range-max", type=positive, default=2500.0, help="km (default 2500)")
+    p_linkmap.add_argument("--range-steps", type=steps, default=21)
+    p_linkmap.add_argument("--jitter-min", type=non_negative, default=0.0, help="urad (default 0)")
+    p_linkmap.add_argument("--jitter-max", type=non_negative, default=5.0, help="urad (default 5)")
+    p_linkmap.add_argument("--jitter-steps", type=steps, default=21)
 
     p_memory = sub.add_parser(
         "memory", parents=[common], help="spin-dynamics kymographs and memory efficiency"
@@ -131,18 +125,18 @@ def build_parser() -> argparse.ArgumentParser:
         default="rescaled",
         help="ensemble preset (default rescaled; paper-literal keeps the configured coupling)",
     )
-    p_memory.add_argument("--grid", type=_int_at_least(16), default=256, help="radial points (default 256)")
-    p_memory.add_argument("--storage", type=_finite_float, default=463.0, help="dark interval, s")
+    p_memory.add_argument("--grid", type=points, default=256, help="radial points (default 256)")
+    p_memory.add_argument("--storage", type=non_negative, default=463.0, help="dark interval, s")
     p_memory.add_argument(
         "--exchange-window",
-        type=_finite_float,
+        type=non_negative,
         default=None,
         help="transfer window T' in s (default pi/(2J))",
     )
-    p_memory.add_argument("--write-time", type=_finite_float, default=0.0, help="optical write window, s")
-    p_memory.add_argument("--read-time", type=_finite_float, default=0.0, help="optical read window, s")
-    p_memory.add_argument("--rabi", type=_finite_float, default=0.0, help="control Rabi frequency, s^-1")
-    p_memory.add_argument("--samples", type=_int_at_least(2), default=121, help="kymograph time samples")
+    p_memory.add_argument("--write-time", type=non_negative, default=0.0, help="optical write window, s")
+    p_memory.add_argument("--read-time", type=non_negative, default=0.0, help="optical read window, s")
+    p_memory.add_argument("--rabi", type=non_negative, default=0.0, help="control Rabi frequency, s^-1")
+    p_memory.add_argument("--samples", type=steps, default=121, help="kymograph time samples")
     p_memory.add_argument(
         "--profile",
         choices=INITIAL_PROFILES,
@@ -153,12 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gainmap = sub.add_parser(
         "gainmap", parents=[common], help="buffering gain grid"
     )
-    p_gainmap.add_argument("--elev-min", type=_finite_float, default=20.0, help="deg (default 20)")
-    p_gainmap.add_argument("--elev-max", type=_finite_float, default=90.0, help="deg (default 90)")
-    p_gainmap.add_argument("--elev-steps", type=_int_at_least(2), default=15)
-    p_gainmap.add_argument("--mem-min", type=_finite_float, default=0.1)
-    p_gainmap.add_argument("--mem-max", type=_finite_float, default=1.0)
-    p_gainmap.add_argument("--mem-steps", type=_int_at_least(2), default=19)
+    p_gainmap.add_argument("--elev-min", type=elevation, default=20.0, help="deg (default 20)")
+    p_gainmap.add_argument("--elev-max", type=elevation, default=90.0, help="deg (default 90)")
+    p_gainmap.add_argument("--elev-steps", type=steps, default=15)
+    p_gainmap.add_argument("--mem-min", type=probability, default=0.1)
+    p_gainmap.add_argument("--mem-max", type=probability, default=1.0)
+    p_gainmap.add_argument("--mem-steps", type=steps, default=19)
 
     return parser
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Annotated, get_type_hints
 
-from .domain import Record, replace
+from .domain import (AT_LEAST_ONE, COUNT, ELEVATION_DEG, FINITE, NON_NEGATIVE, POSITIVE, PROBABILITY, QBER,
+                     TRANSMISSION, Record, replace, require)
 from .formatting import config_value
 
 if TYPE_CHECKING:
@@ -58,54 +59,62 @@ class RunConfig(Record):
     """Every tunable of the simulator, one flat namespace."""
 
     # orbit
-    earth_radius_km: float = 6371.0
-    altitude_km: float = 500.0
-    gravitational_parameter_km3_s2: float = 398600.0
+    earth_radius_km: Annotated[float, POSITIVE] = 6371.0
+    altitude_km: Annotated[float, NON_NEGATIVE] = 500.0
+    gravitational_parameter_km3_s2: Annotated[float, POSITIVE] = 398600.0
     # optical link
-    wavelength_nm: float = 795.0
-    divergence_half_angle_urad: float = 3.0
-    pointing_jitter_urad: float = 1.0
-    receiver_diameter_m: float = 1.0
-    zenith_transmission: float = 0.8
-    detector_efficiency: float = 0.70
+    wavelength_nm: Annotated[float, POSITIVE] = 795.0
+    divergence_half_angle_urad: Annotated[float, POSITIVE] = 3.0
+    pointing_jitter_urad: Annotated[float, NON_NEGATIVE] = 1.0
+    receiver_diameter_m: Annotated[float, POSITIVE] = 1.0
+    zenith_transmission: Annotated[float, TRANSMISSION] = 0.8
+    detector_efficiency: Annotated[float, PROBABILITY] = 0.70
     # qkd
-    channel_use_rate_hz: float = 90e6
-    qber_x: float = CALIBRATED_QBER
-    qber_z: float = CALIBRATED_QBER
-    ec_inefficiency: float = 1.10
-    herald_probability: float = 1.0
-    mode_count: int = 112
-    memory_lifetime_s: float = 463.0
+    channel_use_rate_hz: Annotated[float, POSITIVE] = 90e6
+    qber_x: Annotated[float, QBER] = CALIBRATED_QBER
+    qber_z: Annotated[float, QBER] = CALIBRATED_QBER
+    ec_inefficiency: Annotated[float, AT_LEAST_ONE] = 1.10
+    herald_probability: Annotated[float, PROBABILITY] = 1.0
+    mode_count: Annotated[int, COUNT] = 112
+    memory_lifetime_s: Annotated[float, NON_NEGATIVE] = 463.0
     # ensemble
-    optical_linewidth_hz: float = 5.96e6
-    exchange_coupling: float = 2.00e-5
-    alkali_decay: float = 3.1e-7
-    noble_decay: float = 0.0
-    alkali_detuning: float = 0.0
-    noble_detuning: float = 1.11e-3
-    alkali_diffusion_m2_s: float = 1.02e-8
-    noble_diffusion_m2_s: float = 2.05e-8
-    cell_radius_m: float = 0.01
+    optical_linewidth_hz: Annotated[float, NON_NEGATIVE] = 5.96e6
+    exchange_coupling: Annotated[float, NON_NEGATIVE] = 2.00e-5
+    alkali_decay: Annotated[float, NON_NEGATIVE] = 3.1e-7
+    noble_decay: Annotated[float, NON_NEGATIVE] = 0.0
+    alkali_detuning: Annotated[float, FINITE] = 0.0
+    noble_detuning: Annotated[float, FINITE] = 1.11e-3
+    alkali_diffusion_m2_s: Annotated[float, NON_NEGATIVE] = 1.02e-8
+    noble_diffusion_m2_s: Annotated[float, NON_NEGATIVE] = 2.05e-8
+    cell_radius_m: Annotated[float, POSITIVE] = 0.01
     # scenario
-    eta_mem: float = 0.74
-    dual_elevation_deg: float = 20.0
-    dual_slant_range_km: float = 1461.9
-    buffered_slant_range_km: float = 500.0
-    ogs_separation_km: float = 3267.9
+    eta_mem: Annotated[float, PROBABILITY] = 0.74
+    dual_elevation_deg: Annotated[float, ELEVATION_DEG] = 20.0
+    dual_slant_range_km: Annotated[float, POSITIVE] = 1461.9
+    buffered_slant_range_km: Annotated[float, POSITIVE] = 500.0
+    ogs_separation_km: Annotated[float, NON_NEGATIVE] = 3267.9
+
+    def __post_init__(self):
+        for key in self._fields:
+            require(_FIELDS[key][1], **{key: getattr(self, key)})
 
 
-# key -> "int" or "float": the annotations are strings under the __future__ import
-_FIELD_TYPES = vars(RunConfig)["__annotations__"]
+# key -> (int or float, its Domain); the annotations are strings under the __future__ import
+_FIELDS = {k: (h.__origin__, *h.__metadata__) for k, h in get_type_hints(RunConfig, include_extras=True).items()}
 
 
-def _convert(key: str, raw: str, where: str):
-    kind = _FIELD_TYPES[key]
+def _value(key: str, raw: str, where: str):
+    if key not in _FIELDS:
+        raise ConfigError(f"{where}: unknown configuration key '{key}'")
+    kind, domain = _FIELDS[key]
     try:
-        value = {"int": int, "float": float}[kind](raw)
+        value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: invalid value {raw!r} for key '{key}'") from exc
-    if kind == "float" and not math.isfinite(value):
-        raise ConfigError(f"{where}: value {raw!r} for key '{key}' is not finite")
+    try:
+        require(domain, **{key: value})
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     return value
 
 
@@ -120,13 +129,10 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         if not sep:
             raise ConfigError(f"{source}, line {lineno}: expected 'key = value', got {line!r}")
         key = key.strip()
-        raw = raw.strip()
         where = f"{source}, line {lineno}"
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"{where}: unknown configuration key '{key}'")
         if key in values:
             raise ConfigError(f"{where}: duplicate key '{key}'")
-        values[key] = _convert(key, raw, where)
+        values[key] = _value(key, raw.strip(), where)
     return RunConfig(**values)
 
 
@@ -135,7 +141,7 @@ def load_config(path) -> RunConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config(p.read_text(encoding="utf-8"), source=str(p))
+    return parse_config(p.read_text(encoding="utf-8-sig"), source=str(p))
 
 
 def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
@@ -146,15 +152,13 @@ def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
         key = key.strip()
         if not sep or not key:
             raise ConfigError(f"override must look like key=value, got {pair!r}")
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"override: unknown configuration key '{key}'")
-        updates[key] = _convert(key, raw.strip(), "override")
+        updates[key] = _value(key, raw.strip(), "override")
     return replace(cfg, **updates)
 
 
 def emit_config(cfg: RunConfig) -> str:
     """Render the effective configuration; parsing it back reproduces cfg."""
-    lines = [f"{key} = {config_value(getattr(cfg, key))}" for key in _FIELD_TYPES]
+    lines = [f"{key} = {config_value(getattr(cfg, key))}" for key in _FIELDS]
     return "\n".join(lines) + "\n"
 
 

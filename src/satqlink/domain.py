@@ -22,12 +22,16 @@ FINITE = Domain("finite")
 PROBABILITY = Domain("in [0, 1]", 0.0, 1.0)
 TRANSMISSION = Domain("in (0, 1]", _LEAST, 1.0)
 ELEVATION = Domain("in (0, pi/2]", _LEAST, math.pi / 2.0)
+ELEVATION_DEG = Domain("in (0, 90]", _LEAST, 90.0)
+QBER = Domain("in [0, 0.5]", 0.0, 0.5)
+AT_LEAST_ONE = Domain("at least 1 and finite", 1.0)
+COUNT = Domain("at least 1 and within the float range", 1, math.nextafter(math.inf, 0.0))
 
 
 def require(domain: Domain, **values) -> None:
-    """Raise ValueError naming the first of ``values`` outside ``domain``."""
+    """Raise ValueError naming the first of ``values`` outside ``domain`` (an int of any size too)."""
     for name, value in values.items():
-        if not (math.isfinite(value) and domain.low <= value <= domain.high):
+        if not (abs(value) < math.inf and domain.low <= value <= domain.high):
             raise ValueError(f"{name} must be {domain.text}, got {value}")
 
 

@@ -9,9 +9,9 @@ rate and by the number of parallel temporal modes.
 from __future__ import annotations
 
 import math
-import sys
 
-from .domain import NON_NEGATIVE, POSITIVE, PROBABILITY, Domain, Record, require, require_fields
+from .domain import (AT_LEAST_ONE, COUNT, NON_NEGATIVE, POSITIVE, PROBABILITY, QBER, Record, require,
+                     require_fields)
 
 __all__ = [
     "QKDParams",
@@ -38,11 +38,10 @@ class QKDParams(Record):
 
     def __post_init__(self):
         require_fields(self, POSITIVE, "channel_use_rate")
-        require_fields(self, Domain("in [0, 0.5]", 0.0, 0.5), "qber_x", "qber_z")
-        require_fields(self, Domain("at least 1 and finite", 1.0), "ec_inefficiency")
+        require_fields(self, QBER, "qber_x", "qber_z")
+        require_fields(self, AT_LEAST_ONE, "ec_inefficiency")
         require_fields(self, PROBABILITY, "herald_probability")
-        if not 1 <= self.mode_count <= sys.float_info.max:
-            raise ValueError("mode_count must be at least 1 and within the float range")
+        require_fields(self, COUNT, "mode_count")
         require_fields(self, NON_NEGATIVE, "memory_lifetime")
 
 

@@ -116,9 +116,9 @@ class RadialGrid:
 
     def __init__(self, cell_radius: float, point_count: int):
         require(POSITIVE, cell_radius=cell_radius)
-        if point_count < 16:
-            raise ValueError("point_count must be at least 16")
-        self.cell_radius = float(cell_radius)
+        require(Domain("at least 16", 16), point_count=point_count)
+        self.cell_radius = r = float(cell_radius)
+        require(FINITE, **{"cube of cell_radius": r * r * r})  # as numpy's faces ** 3 would; r ** 3 raises
         self.point_count = int(point_count)
         self.spacing = self.cell_radius / self.point_count
         self.faces = np.linspace(0.0, self.cell_radius, self.point_count + 1)
@@ -645,8 +645,7 @@ def simulate_protocol(
     and |K|^2 on a uniform time grid of ``time_samples`` points plus the
     phase boundaries, normalized so the initial alkali profile peaks at 1.
     """
-    if time_samples < 2:
-        raise ValueError("time_samples must be at least 2")
+    require(Domain("at least 2", 2), time_samples=time_samples)
     state0 = initial_state(grid, profile)
     t_ret = retrieval_instant(schedule, ens)
     duration = schedule_duration(schedule, ens)

@@ -336,6 +336,113 @@ def test_integer_flag_at_its_bound_is_accepted(command, flag, low):
     assert getattr(args, flag[2:].replace("-", "_")) == low
 
 
+# one value outside the domain of each key, in the key's own units, and that domain
+_OUT_OF_DOMAIN_KEYS = {
+    "earth_radius_km": (0.0, "positive and finite"),
+    "altitude_km": (-1.0, "non-negative and finite"),
+    "gravitational_parameter_km3_s2": (-398600.0, "positive and finite"),
+    "wavelength_nm": (0.0, "positive and finite"),
+    "divergence_half_angle_urad": (-3.0, "positive and finite"),
+    "pointing_jitter_urad": (-1.0, "non-negative and finite"),
+    "receiver_diameter_m": (0.0, "positive and finite"),
+    "zenith_transmission": (0.0, "in (0, 1]"),
+    "detector_efficiency": (1.5, "in [0, 1]"),
+    "channel_use_rate_hz": (math.inf, "positive and finite"),
+    "qber_x": (0.9, "in [0, 0.5]"),
+    "qber_z": (-0.1, "in [0, 0.5]"),
+    "ec_inefficiency": (0.9, "at least 1 and finite"),
+    "herald_probability": (math.nan, "in [0, 1]"),
+    "mode_count": (0, "at least 1 and within the float range"),
+    "memory_lifetime_s": (-1.0, "non-negative and finite"),
+    "optical_linewidth_hz": (-5.96e6, "non-negative and finite"),
+    "exchange_coupling": (-2e-05, "non-negative and finite"),
+    "alkali_decay": (-5.0, "non-negative and finite"),
+    "noble_decay": (-1e-06, "non-negative and finite"),
+    "alkali_detuning": (math.inf, "finite"),
+    "noble_detuning": (-math.inf, "finite"),
+    "alkali_diffusion_m2_s": (-1e-08, "non-negative and finite"),
+    "noble_diffusion_m2_s": (math.nan, "non-negative and finite"),
+    "cell_radius_m": (-1.0, "positive and finite"),
+    "eta_mem": (7.0, "in [0, 1]"),
+    "dual_elevation_deg": (95.0, "in (0, 90]"),
+    "dual_slant_range_km": (0.0, "positive and finite"),
+    "buffered_slant_range_km": (-500.0, "positive and finite"),
+    "ogs_separation_km": (-1.0, "non-negative and finite"),
+}
+
+
+def test_every_key_has_an_out_of_domain_case():
+    assert list(_OUT_OF_DOMAIN_KEYS) == list(config.RunConfig._fields)
+
+
+@pytest.mark.parametrize("key", _OUT_OF_DOMAIN_KEYS)
+def test_out_of_domain_key_is_refused_by_every_command(key, tmp_path, capsys, monkeypatch):
+    # whether or not a command uses the key: exit 1 before any artifact or
+    # eigenbasis, naming the key as typed, and its line when read from a file
+    value, domain = _OUT_OF_DOMAIN_KEYS[key]
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    monkeypatch.setattr(np.linalg, "eigh", lambda matrix: pytest.fail("eigh before the refusal"))
+    refusal = f"{key} must be {domain}, got {value}"
+    path = tmp_path / "run.txt"
+    path.write_text(f"# a key outside its domain\n{key} = {value}\n")
+    out = tmp_path / "o"
+    overrides = [[command, "--set", f"{key}={value}"] for command in ("scenario", "linkmap", "memory", "gainmap")]
+    if key == "eta_mem":
+        overrides.append(["scenario", "--eta-mem", f"{value}"])
+    runs = {f"configuration error: override: {refusal}": overrides,
+            f"configuration error: {path}, line 2: {refusal}": [["scenario", "--config", str(path)]]}
+    for last, argvs in runs.items():
+        for argv in argvs:
+            assert cli.main([*argv, "--out", str(out)]) == 1, argv
+            assert capsys.readouterr() == ("", last + "\n"), argv
+            assert not out.exists(), argv
+
+
+# one value outside the domain of each numeric flag, and that domain; --eta-mem X
+# is --set eta_mem=X, checked as that key
+_OUT_OF_DOMAIN_FLAGS = {
+    ("linkmap", "--range-min"): (0.0, "positive and finite"),
+    ("linkmap", "--range-max"): (-2500.0, "positive and finite"),
+    ("linkmap", "--range-steps"): (1, "at least 2"),
+    ("linkmap", "--jitter-min"): (-1.0, "non-negative and finite"),
+    ("linkmap", "--jitter-max"): (math.inf, "non-negative and finite"),
+    ("linkmap", "--jitter-steps"): (0, "at least 2"),
+    ("memory", "--grid"): (15, "at least 16"),
+    ("memory", "--storage"): (-1.0, "non-negative and finite"),
+    ("memory", "--exchange-window"): (-4.0, "non-negative and finite"),
+    ("memory", "--write-time"): (-0.5, "non-negative and finite"),
+    ("memory", "--read-time"): (math.nan, "non-negative and finite"),
+    ("memory", "--rabi"): (-1e6, "non-negative and finite"),
+    ("memory", "--samples"): (-121, "at least 2"),
+    ("gainmap", "--elev-min"): (0.0, "in (0, 90]"),
+    ("gainmap", "--elev-max"): (90.5, "in (0, 90]"),
+    ("gainmap", "--elev-steps"): (1, "at least 2"),
+    ("gainmap", "--mem-min"): (-0.1, "in [0, 1]"),
+    ("gainmap", "--mem-max"): (1.5, "in [0, 1]"),
+    ("gainmap", "--mem-steps"): (1, "at least 2"),
+}
+
+
+def test_every_numeric_flag_has_an_out_of_domain_case():
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    typed = {(command, action.option_strings[0]) for command, sub in subparsers.items()
+             for action in sub._actions if action.type is not None and action.dest != "overrides"}
+    assert typed == set(_OUT_OF_DOMAIN_FLAGS)
+
+
+@pytest.mark.parametrize("command, flag", _OUT_OF_DOMAIN_FLAGS, ids=[" ".join(c) for c in _OUT_OF_DOMAIN_FLAGS])
+def test_out_of_domain_flag_is_a_usage_error(command, flag, tmp_path, capsys):
+    value, domain = _OUT_OF_DOMAIN_FLAGS[command, flag]
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, str(value), "--out", str(out)])
+    assert exc.value.code == 1 and not out.exists()
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.splitlines()[-1] == f"satqlink {command}: error: argument {flag}: must be {domain}, got {value}"
+
+
 @pytest.mark.parametrize("line, code, digest, eta, reference, last", commands.COMMANDS,
                          ids=[row[0] for row in commands.COMMANDS])
 def test_command_table_row(line, code, digest, eta, reference, last, tmp_path, capsys, monkeypatch,

@@ -84,6 +84,14 @@ def test_load_config_missing_file(tmp_path):
         cm.load_config(tmp_path / "absent.txt")
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    # as Windows editors save UTF-8; the mark is not part of the first key
+    path = tmp_path / "run.txt"
+    path.write_text("altitude_km = 600\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert cm.load_config(path) == cm.RunConfig(altitude_km=600.0)
+
+
 def test_overrides_take_precedence(tmp_path):
     path = tmp_path / "run.txt"
     path.write_text("eta_mem = 0.6\n")

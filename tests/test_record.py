@@ -24,7 +24,7 @@ _BASELINE = config.scenario_config(config.RunConfig())
 # that hashes can be compared), one valid change, and one out-of-domain
 # change (None where the class validates nothing).
 _CASES = {
-    config.RunConfig: ({}, {"eta_mem": 0.5}, None),
+    config.RunConfig: ({}, {"eta_mem": 0.5}, {"eta_mem": 2.0}),
     geometry.OrbitalConfig: (_arguments(_BASELINE.orbit), {"altitude": 600.0}, {"altitude": -1.0}),
     linkbudget.OpticalLinkParams: (
         _arguments(_BASELINE.link), {"pointing_jitter_rms": 2e-6}, {"detector_efficiency": 2.0}),
