@@ -180,6 +180,28 @@ def expm_propagate(phase, grid: RadialGrid, y: np.ndarray, taus: np.ndarray) -> 
     return out
 
 
+def dirichlet_norm_factor(diffusion: float, radius: float, t: float) -> float:
+    """||u(t)||^2 / ||u(0)||^2 for diffusion in a sphere from a uniform start,
+    the value pinned to 0 at the wall, at t > 0: the volume norm of Crank's
+    series (The Mathematics of Diffusion, 2nd ed., 1975, eq. 6.18),
+    sum_k 6 / (k^2 pi^2) exp(-2 D k^2 pi^2 t / R^2), summed from the last
+    term that does not underflow."""
+    rate = 2.0 * diffusion * math.pi ** 2 * t / radius ** 2
+    k = np.arange(math.ceil(math.sqrt(750.0 / rate)), 0, -1)
+    return float(np.sum(6.0 / (k * k * math.pi ** 2) * np.exp(-rate * k * k)))
+
+
+def neumann_wavenumber(radius: float) -> float:
+    """k1, the least positive root of tan(k R) = k R: sin(k1 r) / (k1 r) is the
+    slowest non-uniform mode of diffusion in a sphere with a reflective wall
+    (Carslaw & Jaeger, Conduction of Heat in Solids, 2nd ed., 1959, §9.3),
+    and its volume norm decays as exp(-2 D k1^2 t)."""
+    x = 4.5  # Newton on sin x - x cos x, which vanishes at k1 R = 4.4934...
+    for _ in range(5):
+        x -= (math.sin(x) - x * math.cos(x)) / (x * math.sin(x))
+    return x / radius
+
+
 def collected_fraction_quadrature(l: float, params: OpticalLinkParams) -> float:
     """Reference value of ``collected_fraction`` by adaptive polar quadrature.
 
