@@ -5,8 +5,9 @@ the sha256 of its artifacts but the kymographs, a ``memory`` run's
 ``eta_mem`` to full precision, the recorded reference in
 ``perfbench/reference/`` it may name, and the last line it prints on
 stderr (``""`` for none). Tier-1 checks every row in process
-(``test_cli.py::test_command_table_row``); as a script it compares two
-checkouts:
+(``test_cli.py::test_command_table_row``), and the kymographs of each
+``memory`` row that exits 0 against ``references.GOLDENS``; as a script it
+compares two checkouts:
 
     python tests/commands.py DIR
 

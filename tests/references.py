@@ -11,9 +11,13 @@
   which the closed-form inverses of ``satqlink.geometry`` are checked;
 - ``naive_grid_csv`` formats a map cell by cell, against which the map
   writers of ``satqlink.scenario`` are checked;
+- ``dirichlet_norm_factor`` and ``neumann_wavenumber`` give the continuum
+  solution of storage, diffusion alone in the sphere, under either wall;
 - ``check_reference`` holds a run's artifacts to a reference recorded in
   ``perfbench/reference/``, for the rows of ``commands.COMMANDS`` that name
-  one.
+  one, and ``check_kymograph_golden`` holds the kymographs of every
+  ``memory`` row that exits 0 to the full-precision goldens in ``GOLDENS``,
+  which ``record_kymograph_goldens`` rewrites.
 
 The quadrature and LSODA are slow by design and need scipy, which no
 command loads.
@@ -21,9 +25,11 @@ command loads.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import json
 import math
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +45,13 @@ from satqlink.linkbudget import OpticalLinkParams, beam_radius
 from satqlink.spindyn import EnsembleParams, RadialGrid, SpinFieldState
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+GOLDENS = Path(__file__).resolve().parent / "kymograph_goldens.json.gz"
+
+# Largest S or K deviation from the goldens, normalised to peak 1. OpenBLAS's
+# kernels for another CPU (OPENBLAS_CORETYPE Nehalem, Prescott, Sandybridge,
+# Haswell or Zen, on an AVX-512 host) move them by up to 1.7e-12, all at
+# n = 1024, and one thread instead of two by 0.
+GOLDEN_BOUND = 1e-11
 
 # Right-hand-side evaluations one LSODA phase may take: about 20x the largest
 # phase of a legitimate run, so that a runaway phase fails instead of never
@@ -333,3 +346,58 @@ def _check_kymographs(ref: dict, out: Path, stdout: str) -> float:
     deviation = np.max(np.abs(data[:, :, 2:].reshape(-1, 2) - np.transpose([ref["S"], ref["K"]])))
     assert deviation <= 1e-6, deviation
     return float(deviation)
+
+
+def kymograph_sample(result) -> dict:
+    """The S and K kymographs of a ``spindyn.ProtocolResult`` at 41 times
+    and 33 radii, spread evenly from first to last, with their shape,
+    indices, times and radii: the form ``GOLDENS`` holds them in."""
+    nt, nr = result.kymograph_alkali.shape
+    rows, cols = (np.unique(np.linspace(0, size - 1, min(size, count)).round().astype(int))
+                  for size, count in ((nt, 41), (nr, 33)))
+    picked = np.ix_(rows, cols)
+    return {"shape": [nt, nr], "rows": rows.tolist(), "cols": cols.tolist(),
+            "t": result.times[rows].tolist(), "r": result.radii_over_r[cols].tolist(),
+            "S": result.kymograph_alkali[picked].tolist(), "K": result.kymograph_noble[picked].tolist()}
+
+
+@functools.cache
+def _goldens() -> dict:
+    return json.loads(gzip.decompress(GOLDENS.read_bytes()))
+
+
+def check_kymograph_golden(line: str, result) -> float:
+    """Assert that the kymographs of the ``memory`` row ``line`` of
+    ``commands.COMMANDS`` match its golden: the same shape and sample
+    indices, times and radii to 1e-12 relative, S and K to ``GOLDEN_BOUND``
+    absolute; the largest S or K deviation."""
+    want, got = _goldens()[line], kymograph_sample(result)
+    assert [got[key] for key in ("shape", "rows", "cols")] == [want[key] for key in ("shape", "rows", "cols")]
+    for key in ("t", "r"):
+        np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0.0)
+    deviation = float(max(np.max(np.abs(np.subtract(got[key], want[key]))) for key in ("S", "K")))
+    assert deviation <= GOLDEN_BOUND, deviation
+    return deviation
+
+
+def record_kymograph_goldens() -> None:
+    """Rewrite ``GOLDENS`` from this checkout's runs of the ``memory`` rows of
+    ``commands.COMMANDS`` that exit 0. After a change that moves a kymograph
+    on purpose, run from the repository root:
+
+        PYTHONPATH=src:tests python -c 'import references; references.record_kymograph_goldens()'
+    """
+    import commands
+    from satqlink import cli
+
+    simulate, results, goldens = sd.simulate_protocol, [], {}
+    sd.simulate_protocol = lambda *args, **kwargs: results.append(simulate(*args, **kwargs)) or results[-1]
+    try:
+        for line, code, _, eta, *_ in commands.COMMANDS:
+            if eta is not None:
+                with tempfile.TemporaryDirectory() as out:
+                    assert cli.main([*line.split(), "--out", out]) == code, line
+                goldens[line] = kymograph_sample(results.pop())
+    finally:
+        sd.simulate_protocol = simulate
+    GOLDENS.write_bytes(gzip.compress(json.dumps(goldens, indent=0).encode(), mtime=0))

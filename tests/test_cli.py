@@ -448,7 +448,8 @@ def test_out_of_domain_flag_is_a_usage_error(command, flag, tmp_path, capsys):
 def test_command_table_row(line, code, digest, eta, reference, last, tmp_path, capsys, monkeypatch,
                            record_property):
     # one row of the table of end-to-end runs, in process and within the
-    # table's time limit; a refusal (exit 1) comes before any eigenbasis.
+    # table's time limit; a refusal (exit 1) comes before any eigenbasis, and
+    # a memory run's kymographs match their golden.
     # conftest reports the worst deviations that record_property collects
     results = []
     simulate = spindyn.simulate_protocol
@@ -489,6 +490,7 @@ def test_command_table_row(line, code, digest, eta, reference, last, tmp_path, c
         deviation = abs(results[0].eta_mem - eta)
         record_property("eta_mem relative", deviation / eta)
         assert deviation <= 1e-12 and deviation <= 1e-9 * eta, results[0].eta_mem
+        record_property("kymograph golden absolute", references.check_kymograph_golden(line, results[0]))
     assert commands.artifact_digest(out) == digest
     deviation = references.check_reference(reference, out, stdout) if reference else None
     if deviation is not None:
