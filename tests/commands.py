@@ -66,7 +66,8 @@ COMMANDS = [  # command line, exit code, artifact digest, eta_mem, reference, la
     ("gainmap", 0, "8eb4c3565fc2ec5ec0a8c0160e89eac49e2f326811f7077a2d90abef1da81194", None, "gainmap-15x19.csv", ""),
     ("linkmap --range-steps 320 --jitter-steps 320", 0, "5767a4d03abae3cea845eb9331f1dcd5316c0f6166ddaf45d93f9fe19efc2c0c", None, "linkmap-320x320.sampled.csv", ""),
     ("gainmap --elev-steps 320 --mem-steps 320", 0, "f25193ee37be2eb4b806f55d4bb7034b83ec302073047a1188e43e0847e3a3d3", None, "gainmap-320x320.sampled.csv", ""),
-    ("memory --grid 1", 1, NOTHING, None, None, "satqlink memory: error: argument --grid: must be at least 16, got 1"),
+    ("memory --grid 1", 1, NOTHING, None, None, "satqlink memory: error: argument --grid: must be in [16, 2048], got 1"),
+    ("memory --grid 100000000000000000000 --samples 3", 1, NOTHING, None, None, "satqlink memory: error: argument --grid: must be in [16, 2048], got 100000000000000000000"),
     ("scenario --set eta_mem=2", 1, NOTHING, None, None, "configuration error: override: eta_mem must be in [0, 1], got 2.0"),
     ("gainmap --set detector_efficiency=0", 1, "bd6d21e48ca50deea46fa77e50cfe93ad693f33eaa7bc7866bbe80204f736171", None, None, NO_GAIN),
     ("memory --set cell_radius_m=0", 1, NOTHING, None, None, "configuration error: override: cell_radius_m must be positive and finite, got 0.0"),

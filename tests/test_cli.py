@@ -325,15 +325,15 @@ def test_cell_radius_whose_shells_underflow_is_a_config_error(run_cli, tmp_path,
 
 
 @pytest.mark.parametrize(
-    "command, flag, low",
-    [("memory", "--grid", 16), ("memory", "--samples", 2),
+    "command, flag, bound",
+    [("memory", "--grid", 16), ("memory", "--grid", 2048), ("memory", "--samples", 2),
      ("linkmap", "--range-steps", 2), ("linkmap", "--jitter-steps", 2),
      ("gainmap", "--elev-steps", 2), ("gainmap", "--mem-steps", 2)],
 )
-def test_integer_flag_at_its_bound_is_accepted(command, flag, low):
-    # the run one below each bound is a row of the command table
-    args = cli.build_parser().parse_args([command, flag, str(low)])
-    assert getattr(args, flag[2:].replace("-", "_")) == low
+def test_integer_flag_at_its_bound_is_accepted(command, flag, bound):
+    # the runs just outside each bound are rows of the command table or out-of-domain cases
+    args = cli.build_parser().parse_args([command, flag, str(bound)])
+    assert getattr(args, flag[2:].replace("-", "_")) == bound
 
 
 # one value outside the domain of each key, in the key's own units, and that domain
@@ -399,8 +399,8 @@ def test_out_of_domain_key_is_refused_by_every_command(key, tmp_path, capsys, mo
             assert not out.exists(), argv
 
 
-# one value outside the domain of each numeric flag, and that domain; --eta-mem X
-# is --set eta_mem=X, checked as that key
+# one value (or a tuple of values) outside the domain of each numeric flag, and
+# that domain; --eta-mem X is --set eta_mem=X, checked as that key
 _OUT_OF_DOMAIN_FLAGS = {
     ("linkmap", "--range-min"): (0.0, "positive and finite"),
     ("linkmap", "--range-max"): (-2500.0, "positive and finite"),
@@ -408,7 +408,7 @@ _OUT_OF_DOMAIN_FLAGS = {
     ("linkmap", "--jitter-min"): (-1.0, "non-negative and finite"),
     ("linkmap", "--jitter-max"): (math.inf, "non-negative and finite"),
     ("linkmap", "--jitter-steps"): (0, "at least 2"),
-    ("memory", "--grid"): (15, "at least 16"),
+    ("memory", "--grid"): ((15, 2049), "in [16, 2048]"),
     ("memory", "--storage"): (-1.0, "non-negative and finite"),
     ("memory", "--exchange-window"): (-4.0, "non-negative and finite"),
     ("memory", "--write-time"): (-0.5, "non-negative and finite"),
@@ -433,14 +433,15 @@ def test_every_numeric_flag_has_an_out_of_domain_case():
 
 @pytest.mark.parametrize("command, flag", _OUT_OF_DOMAIN_FLAGS, ids=[" ".join(c) for c in _OUT_OF_DOMAIN_FLAGS])
 def test_out_of_domain_flag_is_a_usage_error(command, flag, tmp_path, capsys):
-    value, domain = _OUT_OF_DOMAIN_FLAGS[command, flag]
+    values, domain = _OUT_OF_DOMAIN_FLAGS[command, flag]
     out = tmp_path / "o"
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, flag, str(value), "--out", str(out)])
-    assert exc.value.code == 1 and not out.exists()
-    stdout, stderr = capsys.readouterr()
-    assert stdout == ""
-    assert stderr.splitlines()[-1] == f"satqlink {command}: error: argument {flag}: must be {domain}, got {value}"
+    for value in values if isinstance(values, tuple) else (values,):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, flag, str(value), "--out", str(out)])
+        assert exc.value.code == 1 and not out.exists()
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.splitlines()[-1] == f"satqlink {command}: error: argument {flag}: must be {domain}, got {value}"
 
 
 @pytest.mark.parametrize("line, code, digest, eta, reference, last", commands.COMMANDS,
