@@ -27,9 +27,10 @@ else. A full three-field mode is available by giving ``integrate`` an
 initial state with optical amplitude and a schedule with non-zero control
 windows.
 
-The propagators need numpy only. The tests hold them to an LSODA reference
-that steps the same equations, assembled as banded operators
-(``tests/references.py``).
+The propagators need numpy only. The tests hold them to a dense matrix
+exponential of each coupled group of the same equations, storage to the
+continuum series of diffusion in a sphere, and the ``memory`` runs of the
+command table to golden kymographs (``tests/references.py``).
 """
 
 from __future__ import annotations
@@ -477,8 +478,8 @@ def _groups(local: np.ndarray, diffusion: np.ndarray, where: str) -> list:
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on the first call.
 
-    No protocol run calls it. The tests' LSODA reference steps through this
-    module attribute, and the benchmark tracer wraps it.
+    No protocol run calls it; it is kept as the module attribute that the
+    benchmark tracer wraps.
     """
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 

@@ -1,9 +1,9 @@
 """Numerical references that the tests hold the closed forms to.
 
-- ``rhs``, ``assemble`` and ``lsoda_propagate`` write out, assemble and step
-  the coupled field equations with LSODA, and ``expm_propagate``
-  exponentiates them densely, group by coupled group; the exact modal
-  propagators of ``satqlink.spindyn`` are checked against both;
+- ``rhs`` and ``assemble`` write out and assemble the coupled field
+  equations, and ``expm_propagate`` exponentiates them densely, group by
+  coupled group; the exact modal propagators of ``satqlink.spindyn`` are
+  checked against it;
 - ``collected_fraction_quadrature`` integrates the jitter-broadened beam
   over the receiver pupil, against which ``linkbudget.collected_fraction``
   is checked (acceptance criterion 06);
@@ -19,8 +19,8 @@
   ``memory`` row that exits 0 to the full-precision goldens in ``GOLDENS``,
   which ``record_kymograph_goldens`` rewrites.
 
-The quadrature and LSODA are slow by design and need scipy, which no
-command loads.
+The quadrature and the dense exponential are slow by design and need
+scipy (``quad``, ``i0e`` and ``expm``), which no command loads.
 """
 
 from __future__ import annotations
@@ -52,12 +52,6 @@ GOLDENS = Path(__file__).resolve().parent / "kymograph_goldens.json.gz"
 # Haswell or Zen, on an AVX-512 host) move them by up to 1.7e-12, all at
 # n = 1024, and one thread instead of two by 0.
 GOLDEN_BOUND = 1e-11
-
-# Right-hand-side evaluations one LSODA phase may take: about 20x the largest
-# phase of a legitimate run, so that a runaway phase fails instead of never
-# ending.
-MAX_RHS_PER_PHASE = 200_000
-
 
 def rhs(
     state: SpinFieldState,
@@ -123,55 +117,6 @@ def assemble(phase, grid: RadialGrid) -> Operator:
         d = diffusion[field]
         lower[:, field], diag[:, field], upper[:, field] = d * lo, d * di, d * up
     return Operator(local, lower, diag, upper)
-
-
-def real_band(op: Operator) -> tuple[np.ndarray, int]:
-    """Real form of a phase operator A on the interleaved state, in the packed
-    banded layout of LSODA, and its half bandwidth: the stencils couple
-    complex indices g apart, that is 2 g reals, plus one for the
-    real/imaginary pair."""
-    n, g = op.diag.shape
-    half = 2 * g + 1
-    index = np.arange(n * g).reshape(n, g)
-    blocks = op.local + op.diag[:, :, None] * np.eye(g)  # (n, g, g) per-node blocks
-    rows = 2 * np.concatenate((np.repeat(index, g, axis=1).ravel(), index[1:].ravel(), index[:-1].ravel()))
-    cols = 2 * np.concatenate((np.tile(index, g).ravel(), index[:-1].ravel(), index[1:].ravel()))
-    values = np.concatenate((blocks.ravel(), op.lower.ravel(), op.upper.ravel()))
-    band = np.zeros((2 * half + 1, 2 * n * g))
-    for dr, dc, part in ((0, 0, values.real), (0, 1, -values.imag),
-                         (1, 0, values.imag), (1, 1, values.real)):
-        band[half + (rows + dr) - (cols + dc), cols + dc] = part
-    return band, half
-
-
-def lsoda_propagate(op: Operator, y: np.ndarray, t0: float, t_eval: np.ndarray,
-                    rtol: float, atol: float) -> np.ndarray:
-    """The state at every time of ``t_eval`` (the last one ends the phase that
-    starts at ``t0``), stepped by LSODA at ``rtol``/``atol``.
-
-    At rtol 1e-10 / atol 1e-12, a full paper-literal transfer at n = 16 is
-    3.2e-8 off a 40-digit expm, so a comparison with the exact propagators
-    runs at 1e-12 / 1e-14.
-    """
-    n, g = y.shape
-    band, half = real_band(op)
-    evals = 0
-
-    def fun(t, v):
-        nonlocal evals
-        evals += 1
-        if evals > MAX_RHS_PER_PHASE:
-            raise RuntimeError(
-                f"LSODA exceeded {MAX_RHS_PER_PHASE} right-hand-side evaluations; "
-                f"stopped at t = {t:g} s"
-            )
-        return (op @ v.view(np.complex128).reshape(n, g)).ravel().view(np.float64)
-
-    sol = sd.solve_ivp(fun, (t0, t_eval[-1]), y.ravel().view(np.float64), method="LSODA",
-                       t_eval=t_eval, rtol=rtol, atol=atol, jac=lambda t, v: band,
-                       lband=half, uband=half)
-    assert sol.success, f"LSODA failed; nfev={sol.nfev}: {sol.message}"
-    return sol.y.T.copy().view(np.complex128).reshape(len(t_eval), n, g)
 
 
 def expm_propagate(phase, grid: RadialGrid, y: np.ndarray, taus: np.ndarray) -> np.ndarray:

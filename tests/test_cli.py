@@ -597,7 +597,7 @@ _UNREFERENCED_IN_SRC = {
     "total_memory_efficiency",  # acceptance criterion 08
     "collected_fraction",       # benchmark tracer seam (perfbench/tracing.py)
     "radial_laplacian",         # benchmark tracer seam
-    "solve_ivp",                # benchmark tracer seam; the tests' LSODA reference
+    "solve_ivp",                # benchmark tracer seam
     "__version__",              # the package version
 }
 
