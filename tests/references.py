@@ -293,7 +293,7 @@ def _check_kymographs(ref: dict, out: Path, stdout: str) -> float:
     return float(deviation)
 
 
-def kymograph_sample(result) -> dict:
+def _kymograph_sample(result) -> dict:
     """The S and K kymographs of a ``spindyn.ProtocolResult`` at 41 times
     and 33 radii, spread evenly from first to last, with their shape,
     indices, times and radii: the form ``GOLDENS`` holds them in."""
@@ -316,7 +316,7 @@ def check_kymograph_golden(line: str, result) -> float:
     ``commands.COMMANDS`` match its golden: the same shape and sample
     indices, times and radii to 1e-12 relative, S and K to ``GOLDEN_BOUND``
     absolute; the largest S or K deviation."""
-    want, got = _goldens()[line], kymograph_sample(result)
+    want, got = _goldens()[line], _kymograph_sample(result)
     assert [got[key] for key in ("shape", "rows", "cols")] == [want[key] for key in ("shape", "rows", "cols")]
     for key in ("t", "r"):
         np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0.0)
@@ -342,7 +342,7 @@ def record_kymograph_goldens() -> None:
             if eta is not None:
                 with tempfile.TemporaryDirectory() as out:
                     assert cli.main([*line.split(), "--out", out]) == code, line
-                goldens[line] = kymograph_sample(results.pop())
+                goldens[line] = _kymograph_sample(results.pop())
     finally:
         sd.simulate_protocol = simulate
     GOLDENS.write_bytes(gzip.compress(json.dumps(goldens, indent=0).encode(), mtime=0))
