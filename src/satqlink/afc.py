@@ -4,13 +4,11 @@ Comb frequencies (bandwidth, tooth spacing, tooth width) are stored in
 ordinary Hz.
 """
 
-from __future__ import annotations
-
 import math
 import warnings
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Annotated
 
-from .domain import NON_NEGATIVE, POSITIVE, Record, require, require_fields
+from .domain import NON_NEGATIVE, POSITIVE, Record, require
 
 if TYPE_CHECKING:
     from .spindyn import EnsembleParams
@@ -28,14 +26,12 @@ __all__ = [
 class AFCParams(Record):
     """Spectral comb parameters, all in Hz."""
 
-    total_bandwidth: float = 27e9
-    tooth_spacing: float = 96e6
-    tooth_width: float = 12e6
-    homogeneous_linewidth: float = 5.96e6
+    total_bandwidth: Annotated[float, POSITIVE] = 27e9
+    tooth_spacing: Annotated[float, POSITIVE] = 96e6
+    tooth_width: Annotated[float, POSITIVE] = 12e6
+    homogeneous_linewidth: Annotated[float, NON_NEGATIVE] = 5.96e6
 
     def __post_init__(self):
-        require_fields(self, POSITIVE, "total_bandwidth", "tooth_spacing", "tooth_width")
-        require_fields(self, NON_NEGATIVE, "homogeneous_linewidth")
         if not self.total_bandwidth >= self.tooth_spacing >= self.tooth_width:
             raise ValueError("require total_bandwidth >= tooth_spacing >= tooth_width")
         if self.tooth_width < 2.0 * self.homogeneous_linewidth:
@@ -49,11 +45,8 @@ class AFCParams(Record):
 class ControlPulse(Record):
     """Optical control window T and Rabi frequency of the write and read."""
 
-    duration: float = 0.0
-    rabi_frequency: float = 0.0
-
-    def __post_init__(self):
-        require_fields(self, NON_NEGATIVE, "duration", "rabi_frequency")
+    duration: Annotated[float, NON_NEGATIVE] = 0.0
+    rabi_frequency: Annotated[float, NON_NEGATIVE] = 0.0
 
 
 def finesse(afc: AFCParams) -> float:
@@ -77,7 +70,7 @@ def comb_dephasing_factor(finesse_value: float) -> float:
     return (math.sin(x) / x) ** 2
 
 
-def total_memory_efficiency(pulse: ControlPulse, ens: EnsembleParams, afc: AFCParams) -> float:
+def total_memory_efficiency(pulse: ControlPulse, ens: "EnsembleParams", afc: AFCParams) -> float:
     """End-to-end write/read efficiency of the comb memory.
 
     Product of the squared optical transfer, the spin-exchange survival and

@@ -9,11 +9,9 @@ point and its only statement: the parameter packs have no defaults, so
 are the baseline packs.
 """
 
-from __future__ import annotations
-
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Annotated, get_type_hints
+from typing import TYPE_CHECKING, Annotated
 
 from .domain import (AT_LEAST_ONE, COUNT, ELEVATION_DEG, FINITE, NON_NEGATIVE, POSITIVE, PROBABILITY, QBER,
                      TRANSMISSION, Record, replace, require)
@@ -94,25 +92,16 @@ class RunConfig(Record):
     buffered_slant_range_km: Annotated[float, POSITIVE] = 500.0
     ogs_separation_km: Annotated[float, NON_NEGATIVE] = 3267.9
 
-    def __post_init__(self):
-        for key in self._fields:
-            require(_FIELDS[key][1], **{key: getattr(self, key)})
-
-
-# key -> (int or float, its Domain); the annotations are strings under the __future__ import
-_FIELDS = {k: (h.__origin__, *h.__metadata__) for k, h in get_type_hints(RunConfig, include_extras=True).items()}
-
 
 def _value(key: str, raw: str, where: str):
-    if key not in _FIELDS:
+    if key not in RunConfig._domains:
         raise ConfigError(f"{where}: unknown configuration key '{key}'")
-    kind, domain = _FIELDS[key]
     try:
-        value = kind(raw)
+        value = RunConfig.__annotations__[key].__origin__(raw)  # int or float
     except ValueError as exc:
         raise ConfigError(f"{where}: invalid value {raw!r} for key '{key}'") from exc
     try:
-        require(domain, **{key: value})
+        require(RunConfig._domains[key], **{key: value})
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     return value
@@ -158,7 +147,7 @@ def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
 
 def emit_config(cfg: RunConfig) -> str:
     """Render the effective configuration; parsing it back reproduces cfg."""
-    lines = [f"{key} = {config_value(getattr(cfg, key))}" for key in _FIELDS]
+    lines = [f"{key} = {config_value(getattr(cfg, key))}" for key in RunConfig._fields]
     return "\n".join(lines) + "\n"
 
 
@@ -166,7 +155,7 @@ def emit_config(cfg: RunConfig) -> str:
 # builders for the domain parameter packs
 
 
-def ensemble_params(cfg: RunConfig, preset: str) -> EnsembleParams:
+def ensemble_params(cfg: RunConfig, preset: str) -> "EnsembleParams":
     """Ensemble parameters under one of the shipped presets.
 
     paper-literal: configured rates as given (all in s^-1).
@@ -205,7 +194,7 @@ def ensemble_params(cfg: RunConfig, preset: str) -> EnsembleParams:
     )
 
 
-def scenario_config(cfg: RunConfig) -> ScenarioConfig:
+def scenario_config(cfg: RunConfig) -> "ScenarioConfig":
     """The link-budget packs; like :func:`ensemble_params`, the modules that
     define them load when called, so ``memory`` never imports them."""
     from .geometry import OrbitalConfig

@@ -1,7 +1,8 @@
 """One domain rule for every numeric parameter: a value passes only if it is a
 finite number inside its domain; anything else, NaN and +-inf included, raises
 ``ValueError("<name> must be <domain>, got <value>")``. The packs that hold
-the parameters are :class:`Record` subclasses. Imports only ``math``.
+the parameters are :class:`Record` subclasses, each of whose fields declares
+its domain beside it as ``Annotated[kind, DOMAIN]``. Imports only ``math``.
 """
 
 import math
@@ -35,32 +36,34 @@ def require(domain: Domain, **values) -> None:
             raise ValueError(f"{name} must be {domain.text}, got {value}")
 
 
-def require_fields(obj, domain: Domain, *names: str) -> None:
-    """:func:`require` on the attributes ``names`` of ``obj``."""
-    require(domain, **{name: getattr(obj, name) for name in names})
-
-
 class Record:
     """Base of the frozen parameter and result records.
 
     The attributes annotated in a subclass's own body are its fields, in
-    order, and their class values the defaults. Construction takes the
-    fields by position or keyword, then runs ``__post_init__`` if the class
-    has one. A field can be neither assigned nor deleted; ``==`` holds only
-    between records of one type; ``hash`` is that of the tuple of field
-    values and ``repr`` reads ``Name(field=value, ...)``. Nothing is
-    generated by ``exec``, so a record class costs no more to build than a
-    plain one.
+    order, and their class values the defaults. A field annotated
+    ``Annotated[kind, domain]`` is checked by :func:`require` against that
+    :class:`Domain`; one whose default is ``None`` may also be ``None``.
+    Construction takes the fields by position or keyword, checks each
+    declared domain in field order, then runs ``__post_init__`` if the
+    class has one, which is left for rules that join fields. A field can
+    be neither assigned nor deleted; ``==`` holds only between records of
+    one type; ``hash`` is that of the tuple of field values and ``repr``
+    reads ``Name(field=value, ...)``. Nothing is generated by ``exec``, so
+    a record class costs no more to build than a plain one.
     """
 
     _fields = ()  # the field names in order, set on each subclass
+    _domains = {}  # field name -> its Domain, for the fields that declare one
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # the class's own annotations: on 3.10, cls.__annotations__ can be a base's
         namespace = cls.__dict__
-        cls._fields = tuple(namespace.get("__annotations__", {}))
+        annotations = namespace.get("__annotations__", {})
+        cls._fields = tuple(annotations)
         cls._defaults = {name: namespace[name] for name in cls._fields if name in namespace}
+        cls._domains = {name: kind.__metadata__[0] for name, kind in annotations.items()
+                        if hasattr(kind, "__metadata__")}
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
@@ -77,7 +80,11 @@ class Record:
         missing = [name for name in cls._fields if name not in values and name not in cls._defaults]
         if missing:
             raise TypeError(f"{cls.__qualname__}() missing required arguments: {', '.join(missing)}")
-        self.__dict__.update({name: values.get(name, cls._defaults.get(name)) for name in cls._fields})
+        fields = self.__dict__
+        fields.update({name: values.get(name, cls._defaults.get(name)) for name in cls._fields})
+        for name, domain in cls._domains.items():
+            if fields[name] is not None or cls._defaults.get(name, ()) is not None:  # None only as the default
+                require(domain, **{name: fields[name]})
         post_init = getattr(self, "__post_init__", None)
         if post_init is not None:
             post_init()

@@ -6,11 +6,10 @@ the satellite moves on a circular orbit whose period follows from Kepler's
 third law.
 """
 
-from __future__ import annotations
-
 import math
+from typing import Annotated
 
-from .domain import ELEVATION, NON_NEGATIVE, POSITIVE, Record, require, require_fields
+from .domain import ELEVATION, NON_NEGATIVE, POSITIVE, Record, require
 
 __all__ = [
     "OrbitalConfig",
@@ -30,13 +29,9 @@ class OrbitalConfig(Record):
     altitude = 0 is allowed (surface-grazing orbit, useful for scaling checks).
     """
 
-    earth_radius: float
-    altitude: float
-    gravitational_parameter: float
-
-    def __post_init__(self):
-        require_fields(self, POSITIVE, "earth_radius", "gravitational_parameter")
-        require_fields(self, NON_NEGATIVE, "altitude")
+    earth_radius: Annotated[float, POSITIVE]
+    altitude: Annotated[float, NON_NEGATIVE]
+    gravitational_parameter: Annotated[float, POSITIVE]
 
     @property
     def orbit_radius(self) -> float:

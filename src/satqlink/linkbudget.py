@@ -12,12 +12,11 @@ of pointing jitters at a fixed elevation and range, which is how the maps
 in ``scenario`` are filled.
 """
 
-from __future__ import annotations
-
 import math
+from typing import Annotated
 
 from .domain import (
-    ELEVATION, NON_NEGATIVE, POSITIVE, PROBABILITY, TRANSMISSION, Record, require, require_fields,
+    ELEVATION, NON_NEGATIVE, POSITIVE, PROBABILITY, TRANSMISSION, Record, require,
 )
 
 __all__ = [
@@ -36,18 +35,12 @@ class OpticalLinkParams(Record):
     wavelength / (pi * divergence_half_angle).
     """
 
-    wavelength: float              # m
-    divergence_half_angle: float   # rad
-    pointing_jitter_rms: float     # rad, may be zero
-    receiver_radius: float         # m
-    zenith_transmission: float     # dimensionless, in (0, 1]
-    detector_efficiency: float
-
-    def __post_init__(self):
-        require_fields(self, POSITIVE, "wavelength", "divergence_half_angle", "receiver_radius")
-        require_fields(self, NON_NEGATIVE, "pointing_jitter_rms")
-        require_fields(self, TRANSMISSION, "zenith_transmission")
-        require_fields(self, PROBABILITY, "detector_efficiency")
+    wavelength: Annotated[float, POSITIVE]               # m
+    divergence_half_angle: Annotated[float, POSITIVE]    # rad
+    pointing_jitter_rms: Annotated[float, NON_NEGATIVE]  # rad, may be zero
+    receiver_radius: Annotated[float, POSITIVE]          # m
+    zenith_transmission: Annotated[float, TRANSMISSION]
+    detector_efficiency: Annotated[float, PROBABILITY]
 
     @property
     def beam_waist(self) -> float:

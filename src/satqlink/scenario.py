@@ -9,14 +9,13 @@ deliberately not derived from the dual elevation angle; see the README
 geometry note.
 """
 
-from __future__ import annotations
-
 import math
 from array import array
+from typing import Annotated
 
 from . import geometry, linkbudget, skr
 from .domain import (
-    ELEVATION, NON_NEGATIVE, POSITIVE, PROBABILITY, Domain, Record, require, require_fields,
+    ELEVATION, NON_NEGATIVE, POSITIVE, PROBABILITY, Domain, Record, require,
 )
 from .formatting import csv_float, table_float, write_long_csv
 
@@ -43,17 +42,11 @@ class ScenarioConfig(Record):
     orbit: geometry.OrbitalConfig
     link: linkbudget.OpticalLinkParams
     qkd: skr.QKDParams
-    dual_elevation: float
-    dual_slant_range: float
-    buffered_slant_range: float
-    ogs_separation: float
-    eta_mem: float
-
-    def __post_init__(self):
-        require_fields(self, POSITIVE, "dual_slant_range", "buffered_slant_range")
-        require_fields(self, ELEVATION, "dual_elevation")
-        require_fields(self, NON_NEGATIVE, "ogs_separation")
-        require_fields(self, PROBABILITY, "eta_mem")
+    dual_elevation: Annotated[float, ELEVATION]
+    dual_slant_range: Annotated[float, POSITIVE]
+    buffered_slant_range: Annotated[float, POSITIVE]
+    ogs_separation: Annotated[float, NON_NEGATIVE]
+    eta_mem: Annotated[float, PROBABILITY]
 
 
 class ScenarioResult(Record):

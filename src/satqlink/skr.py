@@ -6,12 +6,10 @@ the binary entropy. The instantaneous rate multiplies by the channel-use
 rate and by the number of parallel temporal modes.
 """
 
-from __future__ import annotations
-
 import math
+from typing import Annotated
 
-from .domain import (AT_LEAST_ONE, COUNT, NON_NEGATIVE, POSITIVE, PROBABILITY, QBER, Record, require,
-                     require_fields)
+from .domain import AT_LEAST_ONE, COUNT, NON_NEGATIVE, POSITIVE, PROBABILITY, QBER, Record, require
 
 __all__ = [
     "QKDParams",
@@ -28,21 +26,13 @@ __all__ = [
 class QKDParams(Record):
     """Channel-use rate, error rates and memory bookkeeping for one link."""
 
-    channel_use_rate: float    # Hz
-    qber_x: float
-    qber_z: float
-    ec_inefficiency: float     # >= 1
-    herald_probability: float
-    mode_count: int
-    memory_lifetime: float     # s
-
-    def __post_init__(self):
-        require_fields(self, POSITIVE, "channel_use_rate")
-        require_fields(self, QBER, "qber_x", "qber_z")
-        require_fields(self, AT_LEAST_ONE, "ec_inefficiency")
-        require_fields(self, PROBABILITY, "herald_probability")
-        require_fields(self, COUNT, "mode_count")
-        require_fields(self, NON_NEGATIVE, "memory_lifetime")
+    channel_use_rate: Annotated[float, POSITIVE]     # Hz
+    qber_x: Annotated[float, QBER]
+    qber_z: Annotated[float, QBER]
+    ec_inefficiency: Annotated[float, AT_LEAST_ONE]
+    herald_probability: Annotated[float, PROBABILITY]
+    mode_count: Annotated[int, COUNT]
+    memory_lifetime: Annotated[float, NON_NEGATIVE]  # s
 
 
 def binary_entropy(e: float) -> float:

@@ -33,14 +33,13 @@ continuum series of diffusion in a sphere, and the ``memory`` runs of the
 command table to golden kymographs (``tests/references.py``).
 """
 
-from __future__ import annotations
-
 import math
+from typing import Annotated
 
 import numpy as np
 
 from .config import INITIAL_PROFILES, ConfigError
-from .domain import FINITE, NON_NEGATIVE, POSITIVE, Domain, Record, require, require_fields
+from .domain import FINITE, NON_NEGATIVE, POSITIVE, Domain, Record, require
 from .formatting import write_long_csv
 
 __all__ = [
@@ -91,19 +90,14 @@ class EnsembleParams(Record):
     radius of the ``RadialGrid`` the fields are solved on.
     """
 
-    exchange_coupling: float   # alkali/noble coherent coupling J
-    alkali_decay: float
-    noble_decay: float
-    alkali_detuning: float
-    noble_detuning: float
-    alkali_diffusion: float
-    noble_diffusion: float
-    optical_decay: float
-
-    def __post_init__(self):
-        require_fields(self, NON_NEGATIVE, "exchange_coupling", "alkali_decay", "noble_decay",
-                       "alkali_diffusion", "noble_diffusion", "optical_decay")
-        require_fields(self, FINITE, "alkali_detuning", "noble_detuning")
+    exchange_coupling: Annotated[float, NON_NEGATIVE]   # alkali/noble coherent coupling J
+    alkali_decay: Annotated[float, NON_NEGATIVE]
+    noble_decay: Annotated[float, NON_NEGATIVE]
+    alkali_detuning: Annotated[float, FINITE]
+    noble_detuning: Annotated[float, FINITE]
+    alkali_diffusion: Annotated[float, NON_NEGATIVE]
+    noble_diffusion: Annotated[float, NON_NEGATIVE]
+    optical_decay: Annotated[float, NON_NEGATIVE]
 
 
 class RadialGrid:
@@ -127,6 +121,13 @@ class RadialGrid:
         self.shell_volumes = np.diff(self.faces ** 3) / 3.0
         # the cubes underflow below about 4e-107 m at n = 16, leaving every volume 0
         require(POSITIVE, **{"innermost shell volume of cell_radius": float(self.shell_volumes[0])})
+        # eigenbasis() multiplies the stencil's two off-diagonals, a product of
+        # about 1.3 / spacing^4 at its largest, the first pair of cells; it
+        # overflows below about 1.5e-76 m at n = 16, and eigh then fails
+        a = float(self.faces[1]) ** 2 / self.spacing
+        if not a / float(self.shell_volumes[1]) * (a / float(self.shell_volumes[0])) < math.inf:
+            raise ConfigError(f"cell_radius_m must be large enough that the Laplacian of {self.point_count} "
+                              f"grid points stays within the float range, got {cell_radius}")
         self._eigh = {}
 
     def eigenbasis(self, bc: str):
@@ -199,16 +200,11 @@ class ProtocolSchedule(Record):
     windows. Zero-length windows are skipped.
     """
 
-    write_time: float = 0.0
-    dark_interval: float = 0.0
-    read_time: float = 0.0
-    rabi_frequency: float = 0.0
-    exchange_window: float | None = None
-
-    def __post_init__(self):
-        require_fields(self, NON_NEGATIVE, "write_time", "dark_interval", "read_time", "rabi_frequency")
-        if self.exchange_window is not None:
-            require_fields(self, NON_NEGATIVE, "exchange_window")
+    write_time: Annotated[float, NON_NEGATIVE] = 0.0
+    dark_interval: Annotated[float, NON_NEGATIVE] = 0.0
+    read_time: Annotated[float, NON_NEGATIVE] = 0.0
+    rabi_frequency: Annotated[float, NON_NEGATIVE] = 0.0
+    exchange_window: Annotated[float | None, NON_NEGATIVE] = None
 
     def resolve_exchange_window(self, ens: EnsembleParams) -> float:
         if self.exchange_window is not None:
@@ -435,10 +431,11 @@ def _group_propagate(local: np.ndarray, diffusion: np.ndarray, pinned: np.ndarra
     # spectrum then lies left of the imaginary axis, centred on the real one.
     own = np.diag(local)
     mu = own.real.max() + 0.5j * (own.imag.max() + own.imag.min())
-    blocks = np.repeat((local - mu * np.eye(g))[None], n, axis=0)
+    blocks = (local - mu * np.eye(g))[None]  # without diffusion, one block serves every node
     x = y
     if basis is not None:
         lam, q = grid.eigenbasis(basis)
+        blocks = np.repeat(blocks, n, axis=0)
         blocks[:, range(g), range(g)] += lam[:, None] * diffusion
         root = np.sqrt(grid.shell_volumes)[:, None]
         x = q.T @ (root * y)

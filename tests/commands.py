@@ -42,6 +42,8 @@ CAP = ("configuration error: phase 1 of 3, a {} s transfer, needs more than 1000
        "most {} s; shorten --exchange-window, raise exchange_coupling, or narrow the gap between "
        "alkali_detuning and noble_detuning")
 NO_GAIN = "configuration error: dual-downlink probability is zero; gain undefined"
+TINY_CELL = ("cell_radius_m must be large enough that the Laplacian of 16 grid points stays within the float "
+             "range, got {}")
 
 # recorded on Python 3.11; DEFAULTS is effective_config.txt alone, at the defaults
 DEFAULTS = "86c6783c64185487228ba7695e9e8939b1ff3bcfbe040b91939df3e96d1f0a5e"
@@ -113,6 +115,10 @@ COMMANDS = [  # command line, exit code, artifact digest, eta_mem, reference, la
     (f"scenario --set mode_count={10 ** 400}", 1, NOTHING, None, None, f"configuration error: override: mode_count must be at least 1 and within the float range, got {10 ** 400}"),
     ("scenario --set channel_use_rate_hz=1.7e308", 1, "152aded5e6dd8d20212f9daaad4c0dcbba49ee7b42b8ed924c04e68412fc751b", None, None, "configuration error: instantaneous_skr must be non-negative and finite, got inf"),
     (f"scenario --set mode_count={10 ** 308}", 1, "38a599e884528a62c9b437cff4c53872d394bff8534bd39f92d4f1b89cc05344", None, None, "configuration error: instantaneous_skr must be non-negative and finite, got inf"),
+    # radii whose Laplacian leaves the float range (about 1.5e-76 m at n = 16), and one just inside it
+    ("memory --grid 16 --samples 3 --set cell_radius_m=1e-100", 1, "fa72f4924281a82a14b84ac03097d155a44cff7784f0fcec074f363957bfbfd6", None, None, f"configuration error: {TINY_CELL.format('1e-100')}"),
+    ("memory --grid 16 --samples 3 --set cell_radius_m=1e-76", 1, "b1a8d49fe4215fc7505f9d1d841867a3e507f4b95e539a64b10903ae61d59137", None, None, f"configuration error: {TINY_CELL.format('1e-76')}"),
+    ("memory --grid 16 --samples 3 --set cell_radius_m=1e-74", 0, "1dbd0e73f2508ea39360c2f922a5466f266f860fdae821d96f637a59d23e67e0", 3.5551405640124682e-62, None, ""),
 ]
 
 

@@ -29,11 +29,22 @@ def run_cli():
     return _run
 
 
+_RECORDED = []  # (quantity, deviation, row) that each test call recorded, in run order
+
+
+def pytest_runtest_logreport(report):
+    if report.when == "call":
+        row = report.nodeid.partition("[")[2][:-1]
+        _RECORDED.extend((name, value, row) for name, value in report.user_properties)
+
+
 def pytest_terminal_summary(terminalreporter):
-    """The worst deviation that ``test_command_table_row`` recorded for each quantity."""
+    """The worst deviation that ``test_command_table_row`` recorded for each
+    quantity, and the first row in run order that reached it; a worst of 0
+    names no row."""
     worst = {}
-    for report in (r for reports in terminalreporter.stats.values() for r in reports):
-        for name, value in getattr(report, "user_properties", ()):
-            worst[name] = max(worst.get(name, (value, "")), (value, report.nodeid.partition("[")[2][:-1]))
-    for name, (value, line) in worst.items():
-        terminalreporter.write_line(f"worst {name} deviation: {value:.3g} ({line})")
+    for name, value, row in _RECORDED:
+        if name not in worst or value > worst[name][0]:
+            worst[name] = (value, row)
+    for name, (value, row) in worst.items():
+        terminalreporter.write_line(f"worst {name} deviation: {value:.3g} ({row if value else 'every row'})")

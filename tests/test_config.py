@@ -5,7 +5,7 @@ import pytest
 from satqlink import config as cm
 from satqlink.afc import AFCParams, ControlPulse
 from satqlink.config import ConfigError
-from satqlink.domain import replace
+from satqlink.domain import Record, replace
 from satqlink.geometry import OrbitalConfig
 from satqlink.linkbudget import OpticalLinkParams
 from satqlink.scenario import ScenarioConfig
@@ -216,10 +216,12 @@ def _arguments(record) -> dict:
     return {name: getattr(record, name) for name in record._fields}
 
 
-# Every domain class with float inputs, and the arguments it needs besides
-# them: a baseline pack's, for the classes without defaults.
+# Every record class that declares a domain, and the arguments it needs
+# besides the field under test: a baseline pack's, for the classes without
+# defaults.
 _BASELINE = cm.scenario_config(cm.RunConfig())
 _DOMAIN_CLASSES = {
+    cm.RunConfig: {},
     OrbitalConfig: _arguments(_BASELINE.orbit),
     OpticalLinkParams: _arguments(_BASELINE.link),
     QKDParams: _arguments(_BASELINE.qkd),
@@ -229,16 +231,20 @@ _DOMAIN_CLASSES = {
     ScenarioConfig: _arguments(_BASELINE),
     ProtocolSchedule: {},
 }
-_FLOAT_FIELDS = [
-    (cls, name, base)
-    for cls, base in _DOMAIN_CLASSES.items()
-    for name, kind in vars(cls)["__annotations__"].items()
-    if kind in ("float", "float | None")
+_DOMAIN_FIELDS = [
+    (cls, name, base) for cls, base in _DOMAIN_CLASSES.items() for name in cls._domains
 ] + [(RadialGrid, "cell_radius", {"point_count": 16})]
 
 
+def test_every_declared_domain_is_a_case():
+    # a change in how the domains are declared cannot shrink the case list unnoticed
+    declared = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("satqlink.") and cls._domains}
+    assert declared == set(_DOMAIN_CLASSES)
+    assert len(_DOMAIN_FIELDS) == 71  # 30 RunConfig keys, 40 pack fields, the grid radius
+
+
 @pytest.mark.parametrize(
-    ("cls", "name", "base"), _FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n, _ in _FLOAT_FIELDS]
+    ("cls", "name", "base"), _DOMAIN_FIELDS, ids=[f"{c.__name__}.{n}" for c, n, _ in _DOMAIN_FIELDS]
 )
 def test_domain_validators_reject_nan(cls, name, base):
     # NaN and both infinities, each named in the message; pytest turns a
