@@ -8,8 +8,8 @@ the operator is second-order accurate.
 Every schedule phase has constant controls, so within a phase the fields
 obey a linear system y' = A y with a constant A (``_phase_operator``), and
 the state at any time of the phase is exp(tau A) y0. ``_plan`` settles each
-phase before any linear algebra: its sample times and every refusal.
-``_groups`` settles how each group of fields that a phase couples is
+phase before any linear algebra: its sample times, every refusal, and its
+``_groups``, read from its two switches, which say how each coupled group is
 propagated: the eigenbasis of the Laplacian (``numpy.linalg.eigh``, once
 per grid and wall condition) in which it splits into closed-form blocks per
 mode, and the step of the Talbot contour quadrature (Trefethen, Weideman &
@@ -119,13 +119,11 @@ class RadialGrid:
         self.faces = np.linspace(0.0, self.cell_radius, self.point_count + 1)
         self.nodes = 0.5 * (self.faces[:-1] + self.faces[1:])
         self.shell_volumes = np.diff(self.faces ** 3) / 3.0
-        # the cubes underflow below about 4e-107 m at n = 16, leaving every volume 0
-        require(POSITIVE, **{"innermost shell volume of cell_radius": float(self.shell_volumes[0])})
         # eigenbasis() multiplies the stencil's two off-diagonals, a product of
         # about 1.3 / spacing^4 at its largest, the first pair of cells; it
         # overflows below about 1.5e-76 m at n = 16, and eigh then fails
-        a = float(self.faces[1]) ** 2 / self.spacing
-        if not a / float(self.shell_volumes[1]) * (a / float(self.shell_volumes[0])) < math.inf:
+        a, (v0, v1) = float(self.faces[1]) ** 2 / self.spacing, self.shell_volumes[:2].tolist()
+        if not (v0 > 0.0 and a / v1 * (a / v0) < math.inf):  # v0 is 0 below about 4e-107 m at n = 16
             raise ConfigError(f"cell_radius_m must be large enough that the Laplacian of {self.point_count} "
                               f"grid points stays within the float range, got {cell_radius}")
         self._eigh = {}
@@ -307,17 +305,6 @@ def _norm1(phase, grid: RadialGrid) -> float:
     return float(np.max(columns))
 
 
-def _coupled_groups(local: np.ndarray) -> list:
-    """The fields that the off-diagonal entries of ``local`` connect, as sorted lists."""
-    linked = (local != 0.0) | (local.T != 0.0)
-    groups = []
-    for f in range(len(local)):
-        joined = [g for g in groups if linked[f, g].any()]
-        groups = [g for g in groups if g not in joined]
-        groups.append(sorted([f] + [h for g in joined for h in g]))
-    return groups
-
-
 def _block_exp(blocks: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """exp(tau B) (nt, n, g, g) for per-mode blocks B (n, g, g), g = 1 or 2,
     at every tau of ``taus``.
@@ -414,11 +401,9 @@ def _contour_frames(blocks, wall, x, taus, longest):
     return frames
 
 
-def _group_propagate(local: np.ndarray, diffusion: np.ndarray, pinned: np.ndarray, basis: str | None,
-                     longest: float | None, grid: RadialGrid, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """exp(tau A) y at every tau of ``taus`` for one group of ``_groups``:
-    its local block (g x g), diffusion constants, wall conditions, basis and
-    longest contour step, and its state y (n, g).
+def _group_propagate(phase, group, grid: RadialGrid, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """exp(tau A) y at every tau of ``taus`` on the fields of one group
+    (fields, basis, longest) of ``_groups`` of ``phase``, from the state y (n, 3).
 
     Field f diffuses by D_f L_N - sigma_f e_n e_n^T: D_f times the Neumann
     Laplacian, less a wall term sigma_f = D_f (L_N - L_D) at the wall node
@@ -426,6 +411,8 @@ def _group_propagate(local: np.ndarray, diffusion: np.ndarray, pinned: np.ndarra
     g x g, one per mode, exponentiated in closed form; with a contour step,
     the wall term is summed through a contour integral of the resolvent.
     """
+    fields, basis, longest = group
+    local, diffusion, y = phase[0][np.ix_(fields, fields)], phase[1][fields], y[:, fields]
     n, g = y.shape
     # Shift by the rightmost decay and the centre of the detunings: the
     # spectrum then lies left of the imaginary axis, centred on the real one.
@@ -442,7 +429,7 @@ def _group_propagate(local: np.ndarray, diffusion: np.ndarray, pinned: np.ndarra
     if longest is None:
         frames = (_block_exp(blocks, taus) @ x[:, :, None])[..., 0]
     else:
-        f = int(np.argmax(pinned))
+        f = int(np.argmax(_PINNED[fields]))
         lap_n, lap_d = (_laplacian_diagonals(grid, wall_bc)[1][-1] for wall_bc in ("neumann", "dirichlet"))
         # one product per stencil, rounded as in D_f L under each wall condition
         wall = (f, diffusion[f] * lap_n - diffusion[f] * lap_d, q[-1])
@@ -455,13 +442,16 @@ def _group_propagate(local: np.ndarray, diffusion: np.ndarray, pinned: np.ndarra
 
 def _groups(local: np.ndarray, diffusion: np.ndarray, where: str) -> list:
     """(fields, basis, longest) of each group of fields that a phase couples:
-    the eigenbasis that propagates it, None without diffusion, and its longest
-    contour step, None in closed form. Raises ValueError, naming ``where``,
-    for a phase that switches on both the control and the exchange."""
+    P and S when its control (``local[0, 1]``) is on, S and K when its
+    exchange (``local[1, 2]``) is on, each field alone when neither is; the
+    eigenbasis that propagates the group, None without diffusion, and its
+    longest contour step, None in closed form. Raises ValueError, naming
+    ``where``, for a phase that switches on both."""
+    control, exchange = local[0, 1] != 0.0, local[1, 2] != 0.0
+    if control and exchange:
+        raise ValueError(f"{where} switches on both the control and the exchange")
     groups = []
-    for fields in _coupled_groups(local):
-        if len(fields) > 2:
-            raise ValueError(f"{where} switches on both the control and the exchange")
+    for fields in [[0, 1], [2]] if control else [[0], [1, 2]] if exchange else [[0], [1], [2]]:
         pinned, diffusing = _PINNED[fields], diffusion[fields] != 0.0
         basis = longest = None
         if diffusing.any():
@@ -483,24 +473,21 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def _propagate(phase, grid: RadialGrid, y: np.ndarray, t0: float, t_eval: np.ndarray,
+def _propagate(phase, groups: list, grid: RadialGrid, y: np.ndarray, t0: float, t_eval: np.ndarray,
                where: str) -> np.ndarray:
     """The (n, 3) state at every time of ``t_eval`` in the phase that starts
-    at ``t0`` from state ``y``, each group of ``_groups`` exactly. Raises
-    :class:`SolverFailure`, naming ``where``, when a linear-algebra routine
-    fails or the phase ends in a non-finite state."""
-    local, diffusion = phase
+    at ``t0`` from state ``y``, each of its ``groups`` (``_groups``) exactly.
+    Raises :class:`SolverFailure`, naming ``where``, when a linear-algebra
+    routine fails or the phase ends in a non-finite state."""
     taus = t_eval - t0
     frames = np.zeros((len(t_eval),) + y.shape, dtype=np.complex128)
     try:
         # An invalid operation leaves a NaN, which the check below reports.
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            for fields, basis, longest in _groups(local, diffusion, where):
+            for group in groups:
+                fields = group[0]
                 if y[:, fields].any():
-                    frames[:, :, fields] = _group_propagate(
-                        local[np.ix_(fields, fields)], diffusion[fields], _PINNED[fields], basis, longest,
-                        grid, y[:, fields], taus,
-                    )
+                    frames[:, :, fields] = _group_propagate(phase, group, grid, y, taus)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"{where}: {exc}") from exc
     if not np.isfinite(frames[-1]).all():
@@ -552,8 +539,9 @@ def retrieval_instant(schedule: ProtocolSchedule, ens: EnsembleParams) -> float:
 
 def _plan(schedule: ProtocolSchedule, ens: EnsembleParams, grid: RadialGrid,
           requested: np.ndarray) -> list:
-    """(where, t0, t_eval, phase) of each phase that moves the state; t_eval
-    holds the times of ``requested`` inside the phase, then its end. Raises
+    """(where, t0, t_eval, phase, groups) of each phase that moves the state;
+    t_eval holds the times of ``requested`` inside the phase, then its end,
+    and groups are the phase's ``_groups``, settled once here. Raises
     every refusal before any linear algebra, as :class:`ConfigError`: a
     contour step of ``_groups`` taken over ``_MAX_CONTOUR_STEPS`` times, or a
     phase below the float resolution of its start time that would move the
@@ -563,7 +551,8 @@ def _plan(schedule: ProtocolSchedule, ens: EnsembleParams, grid: RadialGrid,
     for index, (t0, t1, duration, omega, j_value) in enumerate(phases):
         phase = _phase_operator(ens, omega, j_value)
         where = f"phase {index + 1} of {len(phases)} (t = {t0:g} to {t1:g} s)"
-        for _, _, longest in _groups(*phase, where):
+        groups = _groups(*phase, where)
+        for _, _, longest in groups:
             if longest is not None and duration > _MAX_CONTOUR_STEPS * longest:
                 raise ConfigError(
                     f"phase {index + 1} of {len(phases)}, a {duration:g} s transfer, needs more than "
@@ -581,7 +570,7 @@ def _plan(schedule: ProtocolSchedule, ens: EnsembleParams, grid: RadialGrid,
         # sorted and distinct, as np.unique gives them without loading numpy.ma
         t_eval = np.sort(np.append(inside, t1))
         t_eval = t_eval[np.append(t_eval[:-1] != t_eval[1:], True)]
-        plan.append((where, t0, t_eval, phase))
+        plan.append((where, t0, t_eval, phase, groups))
     return plan
 
 
@@ -611,8 +600,8 @@ def integrate(
     y = np.stack((initial.optical, initial.alkali, initial.noble), axis=1).astype(np.complex128)
     times = [0.0]
     frames = [y[None]]
-    for where, t0, t_eval, phase in _plan(schedule, ens, grid, requested):
-        block = _propagate(phase, grid, y, t0, t_eval, where)
+    for where, t0, t_eval, phase, groups in _plan(schedule, ens, grid, requested):
+        block = _propagate(phase, groups, grid, y, t0, t_eval, where)
         times.extend(t_eval)
         frames.append(block)
         y = block[-1]

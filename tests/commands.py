@@ -44,6 +44,9 @@ CAP = ("configuration error: phase 1 of 3, a {} s transfer, needs more than 1000
 NO_GAIN = "configuration error: dual-downlink probability is zero; gain undefined"
 TINY_CELL = ("cell_radius_m must be large enough that the Laplacian of 16 grid points stays within the float "
              "range, got {}")
+GRID_16 = "  grid: RadialGrid(cell_radius=0.01, point_count=16)"
+KYMOGRAPH_CAP = "configuration error: --samples x --grid must be at most 1048576 kymograph cells, got {} x {}"
+MAP_CAP = "configuration error: {} must be at most 4194304 map cells, got {} x {}"
 
 # recorded on Python 3.11; DEFAULTS is effective_config.txt alone, at the defaults
 DEFAULTS = "86c6783c64185487228ba7695e9e8939b1ff3bcfbe040b91939df3e96d1f0a5e"
@@ -80,7 +83,7 @@ COMMANDS = [  # command line, exit code, artifact digest, eta_mem, reference, la
     ("memory --grid 16 --samples 3 --exchange-window 1e12", 1, DEFAULTS, None, None, CAP.format("1e+12", "3.74")),
     # shell volumes that underflow to 0, and face cubes that overflow
     ("memory --grid 16 --samples 3 --set cell_radius_m=1e300", 1, "61cc69a38ea92ea4875894a4ff0732945c0571be3bd11ce2036aadb3ad3befc3", None, None, "configuration error: cube of cell_radius must be finite, got inf"),
-    ("memory --grid 16 --samples 3 --set cell_radius_m=1e-300", 1, "0d7c473799cd5c031fe54be37e4dd64d0c1416f3ee6b5576aae8cb651b57a5cc", None, None, "configuration error: innermost shell volume of cell_radius must be positive and finite, got 0.0"),
+    ("memory --grid 16 --samples 3 --set cell_radius_m=1e-300", 1, "0d7c473799cd5c031fe54be37e4dd64d0c1416f3ee6b5576aae8cb651b57a5cc", None, None, f"configuration error: {TINY_CELL.format('1e-300')}"),
     # the operating point at which --require-feasible exits 3
     ("scenario --set memory_lifetime_s=1", 0, "4f7c888d284813f6b228784b0b77e78920e741b2205c021b160de7d4b320994f", None, None, ""),
     # refused keys and values
@@ -119,6 +122,20 @@ COMMANDS = [  # command line, exit code, artifact digest, eta_mem, reference, la
     ("memory --grid 16 --samples 3 --set cell_radius_m=1e-100", 1, "fa72f4924281a82a14b84ac03097d155a44cff7784f0fcec074f363957bfbfd6", None, None, f"configuration error: {TINY_CELL.format('1e-100')}"),
     ("memory --grid 16 --samples 3 --set cell_radius_m=1e-76", 1, "b1a8d49fe4215fc7505f9d1d841867a3e507f4b95e539a64b10903ae61d59137", None, None, f"configuration error: {TINY_CELL.format('1e-76')}"),
     ("memory --grid 16 --samples 3 --set cell_radius_m=1e-74", 0, "1dbd0e73f2508ea39360c2f922a5466f266f860fdae821d96f637a59d23e67e0", 3.5551405640124682e-62, None, ""),
+    # finite inputs whose first phase ends in a non-finite state (exit 2); the
+    # first stderr line names the phase, the last the grid
+    ("memory --grid 16 --samples 3 --set alkali_decay=1e300", 2, "0361d97a32ea588eadcc2ee258da7fc502c85145e12250a60a7e54ef933374dd", None, None, GRID_16),
+    ("memory --grid 16 --samples 3 --set noble_decay=1e300", 2, "65a7d4fd04124982f8d61a5d7746ae1fb0ec907e33fb2ffb164f3880b0153cad", None, None, GRID_16),
+    ("memory --grid 16 --samples 3 --set alkali_diffusion_m2_s=1e300", 2, "ff36f252459b4dfc006b6054ae6b4c70f6c58428ee4c553c880d32d985059195", None, None, GRID_16),
+    ("memory --grid 16 --samples 3 --set noble_diffusion_m2_s=1e300", 2, "9a741d13f70c271b5e058be686ea595102ecdf1fd79dd0479ebd62e4435b180c", None, None, GRID_16),
+    ("memory --grid 16 --samples 3 --rabi 1e300 --write-time 1e-6", 2, DEFAULTS, None, None, GRID_16),
+    # runs past the caps on kymograph and map cells, refused before any allocation
+    ("memory --grid 16 --samples 100000000000", 1, DEFAULTS, None, None, KYMOGRAPH_CAP.format(100000000000, 16)),
+    ("memory --samples 4097", 1, DEFAULTS, None, None, KYMOGRAPH_CAP.format(4097, 256)),
+    ("memory --grid 2048 --samples 513", 1, DEFAULTS, None, None, KYMOGRAPH_CAP.format(513, 2048)),
+    ("linkmap --range-steps 100000000000 --jitter-steps 2", 1, DEFAULTS, None, None, MAP_CAP.format("--range-steps x --jitter-steps", 100000000000, 2)),
+    ("linkmap --range-steps 2048 --jitter-steps 2049", 1, DEFAULTS, None, None, MAP_CAP.format("--range-steps x --jitter-steps", 2048, 2049)),
+    ("gainmap --elev-steps 2049 --mem-steps 2048", 1, DEFAULTS, None, None, MAP_CAP.format("--elev-steps x --mem-steps", 2049, 2048)),
 ]
 
 

@@ -122,15 +122,19 @@ def assemble(phase, grid: RadialGrid) -> Operator:
 def expm_propagate(phase, grid: RadialGrid, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """exp(tau A) y (n, 3) at every tau of ``taus``, by ``scipy.linalg.expm``
     of the dense assembled operator restricted to each group of fields that
-    the phase couples (``spindyn._coupled_groups``). An uncoupled field, such
-    as the fast-decaying P in a transfer, stays out of the other group's
-    matrix: ``expm`` of the whole operator is 5e-6 off on a paper-literal
-    transfer."""
+    it couples: the fields that its non-zero entries connect, found in the
+    dense operator itself. An uncoupled field, such as the fast-decaying P
+    in a transfer, stays out of the other group's matrix: ``expm`` of the
+    whole operator is 5e-6 off on a paper-literal transfer."""
     n = grid.point_count
     op = assemble(phase, grid)
     dense = np.stack([(op @ unit.reshape(n, 3)).ravel() for unit in np.eye(3 * n)], axis=1)
+    linked = (dense.reshape(n, 3, n, 3) != 0.0).any(axis=(0, 2)) | np.eye(3, dtype=bool)
+    # of three fields, each connects to every other through at most one more
+    connected = (linked | linked.T).astype(int)
+    groups = sorted({tuple(np.flatnonzero(row)) for row in connected @ connected})
     out = np.empty((len(taus), n, 3), dtype=np.complex128)
-    for group in sd._coupled_groups(phase[0]):
+    for group in map(list, groups):
         index = (3 * np.arange(n)[:, None] + group).ravel()
         block = dense[np.ix_(index, index)]
         for frame, tau in zip(out, taus):

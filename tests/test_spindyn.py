@@ -358,7 +358,7 @@ def test_propagators_agree_with_group_expm(n, decays, detunings, diffusions, cou
     y0 = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
     t0 = 1.0
     t_eval = t0 + duration * np.array([0.3, 0.7, 1.0])
-    exact = sd._propagate(phase, g, y0, t0, t_eval, "phase")
+    exact = sd._propagate(phase, sd._groups(*phase, "phase"), g, y0, t0, t_eval, "phase")
     dense = references.expm_propagate(phase, g, y0, t_eval - t0)
 
     def volume_norm(y):
@@ -369,12 +369,11 @@ def test_propagators_agree_with_group_expm(n, decays, detunings, diffusions, cou
 
 
 def test_propagate_rejects_a_phase_with_both_couplings():
-    # no schedule phase switches on the control and the exchange together
-    g = sd.RadialGrid(R, 16)
+    # no schedule phase switches on the control and the exchange together;
+    # the groups that every propagation takes refuse one
     phase = sd._phase_operator(lossless(j=1.0), 1.0, 1.0)
-    y0 = np.ones((16, 3), dtype=np.complex128)
-    with pytest.raises(ValueError, match="both the control and the exchange"):
-        sd._propagate(phase, g, y0, 0.0, np.array([1.0]), "phase 1 of 1")
+    with pytest.raises(ValueError, match="phase 1 of 1 switches on both the control and the exchange"):
+        sd._groups(*phase, "phase 1 of 1")
 
 
 def test_norm1_is_the_largest_column_sum_of_the_assembled_operator():
@@ -636,8 +635,7 @@ def test_plan_fixes_each_phase_before_any_eigenbasis(monkeypatch, preset, timing
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda matrix: calls.append(len(matrix)) or eigh(matrix))
     plan, steps = [], []
-    for where, t0, t_eval, phase in sd._plan(sched, ens, g, np.array([])):
-        groups = sd._groups(*phase, where)
+    for where, t0, t_eval, phase, groups in sd._plan(sched, ens, g, np.array([])):
         plan.append([(fields, basis, longest and math.ceil((t_eval[-1] - t0) / longest))
                      for fields, basis, longest in groups])
         steps += [longest for _, _, longest in groups if longest is not None]
