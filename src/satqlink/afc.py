@@ -8,7 +8,7 @@ import math
 import warnings
 from typing import TYPE_CHECKING, Annotated
 
-from .domain import NON_NEGATIVE, POSITIVE, Record, require
+from .domain import NON_NEGATIVE, POSITIVE, ConfigError, Record, require
 
 if TYPE_CHECKING:
     from .spindyn import EnsembleParams
@@ -33,7 +33,7 @@ class AFCParams(Record):
 
     def __post_init__(self):
         if not self.total_bandwidth >= self.tooth_spacing >= self.tooth_width:
-            raise ValueError("require total_bandwidth >= tooth_spacing >= tooth_width")
+            raise ConfigError("require total_bandwidth >= tooth_spacing >= tooth_width")
         if self.tooth_width < 2.0 * self.homogeneous_linewidth:
             warnings.warn(
                 "tooth_width below twice the homogeneous linewidth; "

@@ -3,9 +3,9 @@
 Subcommands: ``scenario`` (architecture comparison table), ``linkmap``
 (downlink success probability grid), ``memory`` (spin-dynamics kymographs
 and memory efficiency), ``gainmap`` (buffering gain grid). Outputs are
-byte-deterministic for a given configuration. Exit codes: 0 success,
-1 configuration error, 2 solver failure, 3 infeasible storage when
-``--require-feasible`` is set.
+byte-deterministic for a given configuration. Exit codes: 0 success, 1 a
+``ConfigError`` or ``OSError``, 2 a ``SolverFailure``, 3 infeasible storage
+under ``--require-feasible``; any other exception is a bug (a traceback).
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 from . import config as cfgmod
-from .config import ConfigError, ENSEMBLE_PRESETS, INITIAL_PROFILES
-from .domain import ELEVATION_DEG, NON_NEGATIVE, POSITIVE, PROBABILITY, Domain, require
+from .config import ENSEMBLE_PRESETS, INITIAL_PROFILES
+from .domain import ELEVATION_DEG, NON_NEGATIVE, POSITIVE, PROBABILITY, ConfigError, Domain, SolverFailure, require
 
 
 def _package_getattr(name: str):
@@ -62,7 +62,7 @@ def _number(kind, domain: Domain):
         value = kind(text)  # argparse reports a ValueError as "invalid <__name__> value"
         try:
             require(domain, value=value)
-        except ValueError as exc:
+        except ConfigError as exc:
             raise argparse.ArgumentTypeError(str(exc).removeprefix("value ")) from None
         return value
 
@@ -238,16 +238,7 @@ def _cmd_memory(args, cfg: cfgmod.RunConfig, out: Path) -> int:
         exchange_window=args.exchange_window,
     )
     grid = spindyn.RadialGrid(cfg.cell_radius_m, args.grid)
-    try:
-        result = spindyn.simulate_protocol(
-            ens, schedule, grid, args.profile, time_samples=args.samples
-        )
-    except spindyn.SolverFailure as exc:
-        sys.stderr.write(
-            f"solver failure: {exc}\n"
-            f"  ensemble: {ens}\n  schedule: {schedule}\n  grid: {grid}\n"
-        )
-        return EXIT_SOLVER
+    result = spindyn.simulate_protocol(ens, schedule, grid, args.profile, time_samples=args.samples)
     spindyn.write_kymograph_csv(out, result)
     sys.stdout.write(f"eta_mem = {result.eta_mem:.6f}\n")
     sys.stdout.write(
@@ -275,9 +266,12 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         (out / "effective_config.txt").write_text(cfgmod.emit_config(cfg), encoding="utf-8")
         return _COMMANDS[args.command](args, cfg, out)
-    except ValueError as exc:
+    except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
+    except SolverFailure as exc:
+        sys.stderr.write(f"solver failure: {exc}\n")
+        return EXIT_SOLVER
     except OSError as exc:  # such as an --out that names a file
         sys.stderr.write(f"file error: {exc}\n")
         return EXIT_CONFIG

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Annotated
 
 from .domain import (AT_LEAST_ONE, COUNT, ELEVATION_DEG, FINITE, NON_NEGATIVE, POSITIVE, PROBABILITY, QBER,
-                     TRANSMISSION, Record, replace, require)
+                     TRANSMISSION, ConfigError, Record, replace, require)
 from .formatting import config_value
 
 if TYPE_CHECKING:
@@ -47,10 +47,6 @@ CALIBRATED_QBER = 0.09657329074620885
 # far beyond the storage interval; the rescaled preset multiplies it so
 # the transfer takes ~8 s and a full protocol runs at desk scale.
 RESCALED_EXCHANGE_FACTOR = 1e4
-
-
-class ConfigError(ValueError):
-    """Raised for unreadable, unknown or malformed configuration input."""
 
 
 class RunConfig(Record):
@@ -102,7 +98,7 @@ def _value(key: str, raw: str, where: str):
         raise ConfigError(f"{where}: invalid value {raw!r} for key '{key}'") from exc
     try:
         require(RunConfig._domains[key], **{key: value})
-    except ValueError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     return value
 
@@ -126,11 +122,15 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Read a config file; a missing file is a distinct configuration error."""
+    """Read a config file; one missing or not UTF-8 text is a configuration error naming it."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config(p.read_text(encoding="utf-8-sig"), source=str(p))
+    try:
+        text = p.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: {exc}") from None
+    return parse_config(text, source=str(p))
 
 
 def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:

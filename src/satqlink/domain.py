@@ -1,11 +1,21 @@
 """One domain rule for every numeric parameter: a value passes only if it is a
 finite number inside its domain; anything else, NaN and +-inf included, raises
-``ValueError("<name> must be <domain>, got <value>")``. The packs that hold
+``ConfigError("<name> must be <domain>, got <value>")``. The packs that hold
 the parameters are :class:`Record` subclasses, each of whose fields declares
-its domain beside it as ``Annotated[kind, DOMAIN]``. Imports only ``math``.
+its domain beside it as ``Annotated[kind, DOMAIN]``. Imports only ``math``, so
+the command line catches its two errors, one per exit code, without numpy.
 """
 
 import math
+
+
+class ConfigError(ValueError):
+    """A refused input of the run: unreadable, unknown, malformed or out of its domain (exit 1)."""
+
+
+class SolverFailure(RuntimeError):
+    """A phase propagator failed to converge or ended in a non-finite state (exit 2)."""
+
 
 _LEAST = math.nextafter(0.0, 1.0)  # the least positive float: (0, x] is [_LEAST, x]
 
@@ -30,10 +40,10 @@ COUNT = Domain("at least 1 and within the float range", 1, math.nextafter(math.i
 
 
 def require(domain: Domain, **values) -> None:
-    """Raise ValueError naming the first of ``values`` outside ``domain`` (an int of any size too)."""
+    """Raise ConfigError naming the first of ``values`` outside ``domain`` (an int of any size too)."""
     for name, value in values.items():
         if not (abs(value) < math.inf and domain.low <= value <= domain.high):
-            raise ValueError(f"{name} must be {domain.text}, got {value}")
+            raise ConfigError(f"{name} must be {domain.text}, got {value}")
 
 
 class Record:

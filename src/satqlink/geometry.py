@@ -9,7 +9,7 @@ third law.
 import math
 from typing import Annotated
 
-from .domain import ELEVATION, NON_NEGATIVE, POSITIVE, Record, require
+from .domain import ELEVATION, NON_NEGATIVE, POSITIVE, ConfigError, Record, require
 
 __all__ = [
     "OrbitalConfig",
@@ -62,14 +62,14 @@ def elevation_from_slant_range(l: float, orbit: OrbitalConfig) -> float:
     r_s = orbit.orbit_radius
     arg = (r_s * r_s - r_e * r_e - l * l) / (2.0 * l * r_e)
     if not (-_ASIN_TOL <= arg <= 1.0 + _ASIN_TOL):
-        raise ValueError(f"slant range {l} km is outside the visible pass")
+        raise ConfigError(f"slant range {l} km is outside the visible pass")
     arg = max(0.0, min(1.0, arg))
     return math.asin(arg)
 
 
 def orbital_period(orbit: OrbitalConfig) -> float:
     """Circular-orbit period (s) from Kepler's third law; a period beyond
-    the float range is a ValueError."""
+    the float range is a ConfigError."""
     a = orbit.orbit_radius
     try:
         cube = a ** 3

@@ -15,7 +15,7 @@ from typing import Annotated
 
 from . import geometry, linkbudget, skr
 from .domain import (
-    ELEVATION, NON_NEGATIVE, POSITIVE, PROBABILITY, Domain, Record, require,
+    ELEVATION, NON_NEGATIVE, POSITIVE, PROBABILITY, ConfigError, Domain, Record, require,
 )
 from .formatting import csv_float, table_float, write_long_csv
 
@@ -64,19 +64,19 @@ class ScenarioResult(Record):
 def _dual_arm(cfg: ScenarioConfig) -> float:
     """Single-arm efficiency of the dual geometry, the reference of every gain.
 
-    Raises ValueError when the dual-downlink probability is zero, because
+    Raises ConfigError when the dual-downlink probability is zero, because
     the gain is then undefined.
     """
     arm = linkbudget.single_link_efficiency(cfg.dual_elevation, cfg.dual_slant_range * KM, cfg.link)
     if arm * arm == 0.0:
-        raise ValueError("dual-downlink probability is zero; gain undefined")
+        raise ConfigError("dual-downlink probability is zero; gain undefined")
     return arm
 
 
 def compare_scenarios(cfg: ScenarioConfig) -> ScenarioResult:
     """Evaluate both architectures and the storage feasibility constraint.
 
-    Raises ValueError when the dual-downlink probability is zero, because
+    Raises ConfigError when the dual-downlink probability is zero, because
     the gain is then undefined.
     """
     arm_dual = _dual_arm(cfg)
@@ -141,7 +141,7 @@ def gain_map(elevation_axis_rad, eta_mem_axis, cfg: ScenarioConfig) -> Grid:
     Cell (theta, eta_mem): buffered links at elevation theta with slant
     range from the closed-form geometry, against the configured dual
     reference. Memory efficiencies must lie in [0, 1], the range
-    ``ScenarioConfig`` accepts for ``eta_mem``. Raises ValueError when the
+    ``ScenarioConfig`` accepts for ``eta_mem``. Raises ConfigError when the
     dual-downlink probability is zero, exactly as ``compare_scenarios`` does.
     """
     elevations = _checked_axis("elevation_axis_rad", elevation_axis_rad, ELEVATION)
@@ -161,9 +161,9 @@ def _checked_axis(name: str, axis, domain: Domain) -> list[float]:
         values = [float(x) for x in axis]
         ends = {f"{name}[0]": values[0], f"{name}[-1]": values[-1]}
     except (TypeError, IndexError):
-        raise ValueError(f"{name} must be a non-empty 1-D axis") from None
+        raise ConfigError(f"{name} must be a non-empty 1-D axis") from None
     if not all(a < b for a, b in zip(values, values[1:])):
-        raise ValueError(f"{name} must be strictly ascending")
+        raise ConfigError(f"{name} must be strictly ascending")
     require(domain, **ends)
     return values
 

@@ -56,7 +56,7 @@ def key_fraction(yield_probability: float, q: QKDParams) -> float:
 
 def instantaneous_skr(q: QKDParams, yield_probability: float) -> float:
     """Secret bits per second: channel-use rate times mode count times key
-    fraction; a rate beyond the float range is a ValueError."""
+    fraction; a rate beyond the float range is a ConfigError."""
     rate = q.channel_use_rate * q.mode_count * key_fraction(yield_probability, q)
     require(NON_NEGATIVE, instantaneous_skr=rate)
     return rate

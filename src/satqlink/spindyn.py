@@ -38,8 +38,8 @@ from typing import Annotated
 
 import numpy as np
 
-from .config import INITIAL_PROFILES, ConfigError
-from .domain import FINITE, NON_NEGATIVE, POSITIVE, Domain, Record, require
+from .config import INITIAL_PROFILES
+from .domain import FINITE, NON_NEGATIVE, POSITIVE, ConfigError, Domain, Record, SolverFailure, require
 from .formatting import write_long_csv
 
 __all__ = [
@@ -77,10 +77,6 @@ _MAX_CONTOUR_STEPS = 100_000
 # moves the state by at most this fraction of its norm; a phase that would
 # move it further is an error.
 _NEGLIGIBLE_PHASE = 1e-10
-
-class SolverFailure(RuntimeError):
-    """A phase propagator failed: a linear-algebra routine did not converge or
-    a phase ended in a non-finite state."""
 
 
 class EnsembleParams(Record):
@@ -121,9 +117,10 @@ class RadialGrid:
         self.shell_volumes = np.diff(self.faces ** 3) / 3.0
         # eigenbasis() multiplies the stencil's two off-diagonals, a product of
         # about 1.3 / spacing^4 at its largest, the first pair of cells; it
-        # overflows below about 1.5e-76 m at n = 16, and eigh then fails
-        a, (v0, v1) = float(self.faces[1]) ** 2 / self.spacing, self.shell_volumes[:2].tolist()
-        if not (v0 > 0.0 and a / v1 * (a / v0) < math.inf):  # v0 is 0 below about 4e-107 m at n = 16
+        # overflows below about 1.5e-76 m at n = 16, and eigh then fails. v0 is
+        # 0 below about 4e-107 m at n = 16, and the spacing too up to 4e-323 m
+        v0, v1 = self.shell_volumes[:2].tolist()
+        if not (v0 > 0.0 and (a := float(self.faces[1]) ** 2 / self.spacing) / v1 * (a / v0) < math.inf):
             raise ConfigError(f"cell_radius_m must be large enough that the Laplacian of {self.point_count} "
                               f"grid points stays within the float range, got {cell_radius}")
         self._eigh = {}
@@ -208,7 +205,7 @@ class ProtocolSchedule(Record):
         if self.exchange_window is not None:
             return self.exchange_window
         if ens.exchange_coupling <= 0.0:
-            raise ValueError("exchange_window is required when the exchange coupling is zero")
+            raise ConfigError("exchange_window is required when the exchange coupling is zero")
         window = math.pi / (2.0 * ens.exchange_coupling)  # inf for a denormal coupling
         require(POSITIVE, exchange_window=window)
         return window
@@ -241,7 +238,7 @@ def initial_state(grid: RadialGrid, profile: str = "uniform") -> SpinFieldState:
         x = math.pi * grid.nodes / grid.cell_radius
         s = (np.sin(x) / x).astype(np.complex128)
     else:
-        raise ValueError(f"initial_profile must be one of {INITIAL_PROFILES}")
+        raise ConfigError(f"initial_profile must be one of {INITIAL_PROFILES}")
     s /= math.sqrt(grid.volume_norm_sq(s))
     zeros = np.zeros_like(s)
     return SpinFieldState(optical=zeros, alkali=s, noble=zeros.copy())
@@ -586,10 +583,10 @@ def integrate(
     The controls are constant within a phase, so the propagation restarts at
     every phase boundary, and each phase is propagated exactly as ``_plan``
     and ``_groups`` decide. States are evaluated at ``sample_times`` and at
-    every phase boundary. Raises ValueError for a sample time that is NaN or
-    outside the schedule, the :class:`ConfigError` refusals of ``_plan``
-    before any propagation, and :class:`SolverFailure`, naming the phase,
-    when a linear-algebra routine fails or a phase ends in a non-finite state.
+    every phase boundary. Raises :class:`ConfigError`, before any propagation,
+    for a sample time that is NaN or outside the schedule and for the refusals
+    of ``_plan``; and :class:`SolverFailure`, naming the phase, when a
+    linear-algebra routine fails or a phase ends in a non-finite state.
     """
     requested = np.array([], dtype=float) if sample_times is None else np.asarray(sample_times, dtype=float)
     if requested.size:

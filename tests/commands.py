@@ -44,7 +44,7 @@ CAP = ("configuration error: phase 1 of 3, a {} s transfer, needs more than 1000
 NO_GAIN = "configuration error: dual-downlink probability is zero; gain undefined"
 TINY_CELL = ("cell_radius_m must be large enough that the Laplacian of 16 grid points stays within the float "
              "range, got {}")
-GRID_16 = "  grid: RadialGrid(cell_radius=0.01, point_count=16)"
+NON_FINITE = "solver failure: phase 1 of {} (t = 0 to {} s) ended in a non-finite state"
 KYMOGRAPH_CAP = "configuration error: --samples x --grid must be at most 1048576 kymograph cells, got {} x {}"
 MAP_CAP = "configuration error: {} must be at most 4194304 map cells, got {} x {}"
 
@@ -122,13 +122,12 @@ COMMANDS = [  # command line, exit code, artifact digest, eta_mem, reference, la
     ("memory --grid 16 --samples 3 --set cell_radius_m=1e-100", 1, "fa72f4924281a82a14b84ac03097d155a44cff7784f0fcec074f363957bfbfd6", None, None, f"configuration error: {TINY_CELL.format('1e-100')}"),
     ("memory --grid 16 --samples 3 --set cell_radius_m=1e-76", 1, "b1a8d49fe4215fc7505f9d1d841867a3e507f4b95e539a64b10903ae61d59137", None, None, f"configuration error: {TINY_CELL.format('1e-76')}"),
     ("memory --grid 16 --samples 3 --set cell_radius_m=1e-74", 0, "1dbd0e73f2508ea39360c2f922a5466f266f860fdae821d96f637a59d23e67e0", 3.5551405640124682e-62, None, ""),
-    # finite inputs whose first phase ends in a non-finite state (exit 2); the
-    # first stderr line names the phase, the last the grid
-    ("memory --grid 16 --samples 3 --set alkali_decay=1e300", 2, "0361d97a32ea588eadcc2ee258da7fc502c85145e12250a60a7e54ef933374dd", None, None, GRID_16),
-    ("memory --grid 16 --samples 3 --set noble_decay=1e300", 2, "65a7d4fd04124982f8d61a5d7746ae1fb0ec907e33fb2ffb164f3880b0153cad", None, None, GRID_16),
-    ("memory --grid 16 --samples 3 --set alkali_diffusion_m2_s=1e300", 2, "ff36f252459b4dfc006b6054ae6b4c70f6c58428ee4c553c880d32d985059195", None, None, GRID_16),
-    ("memory --grid 16 --samples 3 --set noble_diffusion_m2_s=1e300", 2, "9a741d13f70c271b5e058be686ea595102ecdf1fd79dd0479ebd62e4435b180c", None, None, GRID_16),
-    ("memory --grid 16 --samples 3 --rabi 1e300 --write-time 1e-6", 2, DEFAULTS, None, None, GRID_16),
+    # finite inputs whose first phase ends in a non-finite state (exit 2)
+    ("memory --grid 16 --samples 3 --set alkali_decay=1e300", 2, "0361d97a32ea588eadcc2ee258da7fc502c85145e12250a60a7e54ef933374dd", None, None, NON_FINITE.format(3, "7.85398")),
+    ("memory --grid 16 --samples 3 --set noble_decay=1e300", 2, "65a7d4fd04124982f8d61a5d7746ae1fb0ec907e33fb2ffb164f3880b0153cad", None, None, NON_FINITE.format(3, "7.85398")),
+    ("memory --grid 16 --samples 3 --set alkali_diffusion_m2_s=1e300", 2, "ff36f252459b4dfc006b6054ae6b4c70f6c58428ee4c553c880d32d985059195", None, None, NON_FINITE.format(3, "7.85398")),
+    ("memory --grid 16 --samples 3 --set noble_diffusion_m2_s=1e300", 2, "9a741d13f70c271b5e058be686ea595102ecdf1fd79dd0479ebd62e4435b180c", None, None, NON_FINITE.format(3, "7.85398")),
+    ("memory --grid 16 --samples 3 --rabi 1e300 --write-time 1e-6", 2, DEFAULTS, None, None, NON_FINITE.format(4, "1e-06")),
     # runs past the caps on kymograph and map cells, refused before any allocation
     ("memory --grid 16 --samples 100000000000", 1, DEFAULTS, None, None, KYMOGRAPH_CAP.format(100000000000, 16)),
     ("memory --samples 4097", 1, DEFAULTS, None, None, KYMOGRAPH_CAP.format(4097, 256)),
@@ -136,6 +135,13 @@ COMMANDS = [  # command line, exit code, artifact digest, eta_mem, reference, la
     ("linkmap --range-steps 100000000000 --jitter-steps 2", 1, DEFAULTS, None, None, MAP_CAP.format("--range-steps x --jitter-steps", 100000000000, 2)),
     ("linkmap --range-steps 2048 --jitter-steps 2049", 1, DEFAULTS, None, None, MAP_CAP.format("--range-steps x --jitter-steps", 2048, 2049)),
     ("gainmap --elev-steps 2049 --mem-steps 2048", 1, DEFAULTS, None, None, MAP_CAP.format("--elev-steps x --mem-steps", 2049, 2048)),
+    # a radius whose grid spacing R / n rounds to 0, refused before any division by it
+    ("memory --grid 16 --samples 3 --set cell_radius_m=5e-324", 1, "2cbdf7c787066725c4a1a6d158ddb2c3eda279470b71130e22bd6d80cc445ac8", None, None, f"configuration error: {TINY_CELL.format('5e-324')}"),
+    # a range axis that leaves the visible pass, and a default transfer window without a coupling
+    ("linkmap --range-max 100000", 1, DEFAULTS, None, None, "configuration error: slant range 5475.0 km is outside the visible pass"),
+    ("memory --grid 16 --samples 3 --set exchange_coupling=0", 1, "f3ba9a837a70cc32642d8b9ff6886fdb4e4758a9a560dc63bc3179253f5f07cc", None, None, "configuration error: exchange_window is required when the exchange coupling is zero"),
+    # a storage phase below the float resolution of its start that moves nothing, dropped from the plan
+    ("memory --grid 16 --samples 3 --storage 1e-300 --exchange-window 1", 0, DEFAULTS, 0.8176765308702938, None, ""),
 ]
 
 

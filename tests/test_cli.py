@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import commands
 import references
 import satqlink
-from satqlink import afc, cli, config, formatting, geometry, linkbudget, scenario, skr, spindyn
+from satqlink import afc, cli, config, domain, formatting, geometry, linkbudget, scenario, skr, spindyn
 from satqlink.domain import replace
 from satqlink.geometry import slant_range_from_elevation
 from satqlink.spindyn import SolverFailure
@@ -227,8 +227,25 @@ def test_memory_solver_failure_exit_code(monkeypatch, tmp_path, capsys):
         "memory", "--out", str(tmp_path / "o"), "--grid", "32", "--storage", "0.1",
     ])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "solver failure" in err and "schedule" in err
+    assert capsys.readouterr().err == "solver failure: step size underflow at t=1\n"
+
+
+def test_each_exit_code_has_one_error_class():
+    # cli catches both from domain, which loads no numpy; the modules that
+    # raise them re-export the same classes
+    assert config.ConfigError is domain.ConfigError and issubclass(domain.ConfigError, ValueError)
+    assert spindyn.SolverFailure is domain.SolverFailure and issubclass(domain.SolverFailure, RuntimeError)
+
+
+def test_any_other_exception_is_a_traceback(monkeypatch, tmp_path):
+    # a ValueError that refuses no input is a bug: it leaves main instead of
+    # posing as a configuration error
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(spindyn, "simulate_protocol", broken)
+    with pytest.raises(ValueError, match="^operands could not be broadcast together$"):
+        cli.main(["memory", "--grid", "16", "--samples", "3", "--out", str(tmp_path / "o")])
 
 
 def test_non_finite_config_file_value_is_a_config_error(tmp_path, capsys):
@@ -237,6 +254,15 @@ def test_non_finite_config_file_value_is_a_config_error(tmp_path, capsys):
     code = cli.main(["scenario", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_is_one_line_naming_it(run_cli, tmp_path):
+    path = tmp_path / "run.txt"
+    path.write_bytes(b"altitude_km = 500\n\xff\n")
+    cp = run_cli("scenario", "--config", path, "--out", tmp_path / "o")
+    assert cp.returncode == 1
+    assert cp.stderr == (f"configuration error: {path}: 'utf-8' codec can't decode byte 0xff in position 18: "
+                         "invalid start byte\n")
 
 
 @pytest.mark.parametrize("broken", ["raises", "nan"])
@@ -474,10 +500,7 @@ def test_command_table_row(line, code, digest, eta, reference, last, tmp_path, c
     try:
         assert cli.main([*line.split(), "--out", str(out)]) == code
         stdout, stderr = capsys.readouterr()
-        if code == 2:  # the failure, then the ensemble, schedule and grid it met
-            assert stderr.startswith("solver failure: phase") and stderr.splitlines()[-1] == last
-        else:
-            assert stderr == (last + "\n" if last else "")
+        assert stderr == (last + "\n" if last else "")
     except SystemExit as exc:  # a usage error; argparse wraps its usage line with the terminal width
         stdout, stderr = capsys.readouterr()
         assert exc.code == code and stderr.splitlines()[-1] == last and not out.exists()
@@ -532,8 +555,7 @@ _NON_FINITE = re.compile(r"\b(?:inf|nan)\b", re.IGNORECASE)
 @pytest.mark.parametrize("key", config.RunConfig._fields)
 def test_any_accepted_key_gives_finite_artifacts_or_exit_1(key, tmp_path, monkeypatch):
     # every key at the extremes of its type through the three link commands:
-    # main returns exit 0, 1 or 3 and writes no inf or nan. memory is left
-    # out: an extreme key can still end there in a solver failure (exit 2).
+    # main returns exit 0, 1 or 3 and writes no inf or nan (memory: below).
     # One parser serves every run: building it is most of a run's time
     parser = cli.build_parser()
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
@@ -543,6 +565,34 @@ def test_any_accepted_key_gives_finite_artifacts_or_exit_1(key, tmp_path, monkey
             assert cli.main([*run, "--set", f"{key}={value!r}", "--out", str(out)]) in (0, 1, 3)
             for path in out.glob("*"):
                 assert not _NON_FINITE.search(path.read_text()), (value, run, path.name)
+
+
+# the finite inputs that still end in a non-finite phase (ROADMAP item 11)
+_SOLVER_FAILURES = {(key, value) for key in ("alkali_decay", "noble_decay", "alkali_diffusion_m2_s",
+                                             "noble_diffusion_m2_s") for value in (1e300, 1.7e308)}
+
+
+@pytest.mark.parametrize("key", config.RunConfig._fields)
+def test_any_accepted_key_gives_finite_kymographs_or_one_error_line(key, tmp_path, monkeypatch, capsys):
+    # every key at the extremes of its type through memory on a 16-point grid:
+    # no exception leaves main and no artifact holds inf or nan; the run exits
+    # 0, 1 with one configuration error line, or, for a pair of
+    # _SOLVER_FAILURES only, 2 with one line naming the phase
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    for n, value in enumerate(_EXTREMES[type(getattr(config.RunConfig(), key))]):
+        out = tmp_path / str(n)
+        code = cli.main(["memory", "--grid", "16", "--samples", "3", "--set", f"{key}={value!r}", "--out", str(out)])
+        stderr = capsys.readouterr().err
+        if code == 0:
+            assert stderr == ""
+        elif code == 1:
+            assert stderr.startswith("configuration error: ") and stderr.count("\n") == 1, (value, stderr)
+        else:
+            assert code == 2 and (key, value) in _SOLVER_FAILURES, (value, code, stderr)
+            assert stderr.startswith("solver failure: phase ") and stderr.count("\n") == 1, (value, stderr)
+        for path in out.glob("*"):
+            assert not _NON_FINITE.search(path.read_text()), (value, path.name)
 
 
 def test_public_names_resolve():
