@@ -34,12 +34,6 @@ def _package_getattr(name: str):
 
 sys.modules[__package__].__getattr__ = _package_getattr
 
-# Caps on the cells a run computes and writes, so that no accepted flag starts
-# unbounded work; runs at either cap took 3 to 6 s, at most 245 MB and about
-# 200 MB of CSV on 2 vCPUs (the slowest: memory --grid 2048 --samples 512).
-_MAX_KYMOGRAPH_CELLS = 2 ** 20  # --samples x --grid
-_MAX_MAP_CELLS = 2 ** 22  # --range-steps x --jitter-steps, --elev-steps x --mem-steps
-
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
@@ -164,13 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_cells(flags: str, rows: int, columns: int, cap: int, kind: str) -> None:
-    """Refuse a run of more than ``cap`` cells, rows x columns, before it
-    allocates any, naming its two ``flags``."""
-    if rows * columns > cap:
-        raise ConfigError(f"{flags} must be at most {cap} {kind} cells, got {rows} x {columns}")
-
-
 def _axis(name: str, lo: float, hi: float, steps: int) -> list[float]:
     """``steps`` (at least 2, as the parser ensures) evenly spaced points
     from lo to hi, as ``numpy.linspace`` makes them."""
@@ -200,7 +187,7 @@ def _cmd_scenario(args, cfg: cfgmod.RunConfig, out: Path) -> int:
 def _cmd_linkmap(args, cfg: cfgmod.RunConfig, out: Path) -> int:
     from . import scenario as scn
 
-    _require_cells("--range-steps x --jitter-steps", args.range_steps, args.jitter_steps, _MAX_MAP_CELLS, "map")
+    require(scn.MAP_CELLS, **{"--range-steps x --jitter-steps": args.range_steps * args.jitter_steps})
     ranges = _axis("range axis", args.range_min, args.range_max, args.range_steps)
     jitters = _axis("jitter axis", args.jitter_min * 1e-6, args.jitter_max * 1e-6, args.jitter_steps)
     grid = scn.downlink_probability_map(ranges, jitters, cfgmod.scenario_config(cfg))
@@ -213,7 +200,7 @@ def _cmd_linkmap(args, cfg: cfgmod.RunConfig, out: Path) -> int:
 def _cmd_gainmap(args, cfg: cfgmod.RunConfig, out: Path) -> int:
     from . import scenario as scn
 
-    _require_cells("--elev-steps x --mem-steps", args.elev_steps, args.mem_steps, _MAX_MAP_CELLS, "map")
+    require(scn.MAP_CELLS, **{"--elev-steps x --mem-steps": args.elev_steps * args.mem_steps})
     elevations = _axis(
         "elevation axis", math.radians(args.elev_min), math.radians(args.elev_max), args.elev_steps
     )
@@ -228,7 +215,6 @@ def _cmd_gainmap(args, cfg: cfgmod.RunConfig, out: Path) -> int:
 def _cmd_memory(args, cfg: cfgmod.RunConfig, out: Path) -> int:
     from . import spindyn
 
-    _require_cells("--samples x --grid", args.samples, args.grid, _MAX_KYMOGRAPH_CELLS, "kymograph")
     ens = cfgmod.ensemble_params(cfg, preset=args.preset)
     schedule = spindyn.ProtocolSchedule(
         write_time=args.write_time,

@@ -26,6 +26,7 @@ __all__ = [
     "compare_scenarios",
     "downlink_probability_map",
     "gain_map",
+    "MAP_CELLS",
     "markdown_comparison",
     "record_comparison",
     "csv_comparison",
@@ -34,6 +35,9 @@ __all__ = [
 ]
 
 KM = 1e3  # geometry works in km, beam optics in m
+
+# cells of one map, rows x columns; its cost is noted beside spindyn._KYMOGRAPH_CELLS
+MAP_CELLS = Domain("at most 4194304 map cells", 0, 2 ** 22)
 
 
 class ScenarioConfig(Record):
@@ -126,6 +130,7 @@ def downlink_probability_map(range_axis_km, jitter_axis_rad, cfg: ScenarioConfig
     """
     ranges = _checked_axis("range_axis_km", range_axis_km, POSITIVE)
     jitters = _checked_axis("jitter_axis_rad", jitter_axis_rad, NON_NEGATIVE)
+    require(MAP_CELLS, **{"len(range_axis_km) x len(jitter_axis_rad)": len(ranges) * len(jitters)})
     return Grid(
         linkbudget.link_efficiency_row(
             geometry.elevation_from_slant_range(l, cfg.orbit), l * KM, cfg.link, jitters
@@ -146,6 +151,7 @@ def gain_map(elevation_axis_rad, eta_mem_axis, cfg: ScenarioConfig) -> Grid:
     """
     elevations = _checked_axis("elevation_axis_rad", elevation_axis_rad, ELEVATION)
     memories = _checked_axis("eta_mem_axis", eta_mem_axis, PROBABILITY)
+    require(MAP_CELLS, **{"len(elevation_axis_rad) x len(eta_mem_axis)": len(elevations) * len(memories)})
     arm_dual = _dual_arm(cfg)
     rows = Grid()
     for theta in elevations:

@@ -73,6 +73,11 @@ _CONTOUR_SPAN = 1.5
 # of more steps is refused up front; the rescaled default takes 3, paper-literal 61.
 _MAX_CONTOUR_STEPS = 100_000
 
+# A cap on the kymograph cells a run computes and writes, so that no accepted input starts
+# unbounded work; runs at it or at scenario.MAP_CELLS took 3 to 6 s, at most 245 MB and
+# about 200 MB of CSV on 2 vCPUs (the slowest: memory --grid 2048 --samples 512).
+_KYMOGRAPH_CELLS = Domain("at most 1048576 kymograph cells", 0, 2 ** 20)
+
 # A phase that rounds away in its start time is skipped when exp(duration A)
 # moves the state by at most this fraction of its norm; a phase that would
 # move it further is an error.
@@ -630,6 +635,7 @@ def simulate_protocol(
     phase boundaries, normalized so the initial alkali profile peaks at 1.
     """
     require(Domain("at least 2", 2), time_samples=time_samples)
+    require(_KYMOGRAPH_CELLS, **{"time_samples x point_count": time_samples * grid.point_count})
     state0 = initial_state(grid, profile)
     t_ret = retrieval_instant(schedule, ens)
     duration = schedule_duration(schedule, ens)

@@ -45,8 +45,8 @@ NO_GAIN = "configuration error: dual-downlink probability is zero; gain undefine
 TINY_CELL = ("cell_radius_m must be large enough that the Laplacian of 16 grid points stays within the float "
              "range, got {}")
 NON_FINITE = "solver failure: phase 1 of {} (t = 0 to {} s) ended in a non-finite state"
-KYMOGRAPH_CAP = "configuration error: --samples x --grid must be at most 1048576 kymograph cells, got {} x {}"
-MAP_CAP = "configuration error: {} must be at most 4194304 map cells, got {} x {}"
+KYMOGRAPH_CAP = "configuration error: time_samples x point_count must be at most 1048576 kymograph cells, got {}"
+MAP_CAP = "configuration error: {} must be at most 4194304 map cells, got {}"
 
 # recorded on Python 3.11; DEFAULTS is effective_config.txt alone, at the defaults
 DEFAULTS = "86c6783c64185487228ba7695e9e8939b1ff3bcfbe040b91939df3e96d1f0a5e"
@@ -129,12 +129,12 @@ COMMANDS = [  # command line, exit code, artifact digest, eta_mem, reference, la
     ("memory --grid 16 --samples 3 --set noble_diffusion_m2_s=1e300", 2, "9a741d13f70c271b5e058be686ea595102ecdf1fd79dd0479ebd62e4435b180c", None, None, NON_FINITE.format(3, "7.85398")),
     ("memory --grid 16 --samples 3 --rabi 1e300 --write-time 1e-6", 2, DEFAULTS, None, None, NON_FINITE.format(4, "1e-06")),
     # runs past the caps on kymograph and map cells, refused before any allocation
-    ("memory --grid 16 --samples 100000000000", 1, DEFAULTS, None, None, KYMOGRAPH_CAP.format(100000000000, 16)),
-    ("memory --samples 4097", 1, DEFAULTS, None, None, KYMOGRAPH_CAP.format(4097, 256)),
-    ("memory --grid 2048 --samples 513", 1, DEFAULTS, None, None, KYMOGRAPH_CAP.format(513, 2048)),
-    ("linkmap --range-steps 100000000000 --jitter-steps 2", 1, DEFAULTS, None, None, MAP_CAP.format("--range-steps x --jitter-steps", 100000000000, 2)),
-    ("linkmap --range-steps 2048 --jitter-steps 2049", 1, DEFAULTS, None, None, MAP_CAP.format("--range-steps x --jitter-steps", 2048, 2049)),
-    ("gainmap --elev-steps 2049 --mem-steps 2048", 1, DEFAULTS, None, None, MAP_CAP.format("--elev-steps x --mem-steps", 2049, 2048)),
+    ("memory --grid 16 --samples 100000000000", 1, DEFAULTS, None, None, KYMOGRAPH_CAP.format(100000000000 * 16)),
+    ("memory --samples 4097", 1, DEFAULTS, None, None, KYMOGRAPH_CAP.format(4097 * 256)),
+    ("memory --grid 2048 --samples 513", 1, DEFAULTS, None, None, KYMOGRAPH_CAP.format(513 * 2048)),
+    ("linkmap --range-steps 100000000000 --jitter-steps 2", 1, DEFAULTS, None, None, MAP_CAP.format("--range-steps x --jitter-steps", 100000000000 * 2)),
+    ("linkmap --range-steps 2048 --jitter-steps 2049", 1, DEFAULTS, None, None, MAP_CAP.format("--range-steps x --jitter-steps", 2048 * 2049)),
+    ("gainmap --elev-steps 2049 --mem-steps 2048", 1, DEFAULTS, None, None, MAP_CAP.format("--elev-steps x --mem-steps", 2049 * 2048)),
     # a radius whose grid spacing R / n rounds to 0, refused before any division by it
     ("memory --grid 16 --samples 3 --set cell_radius_m=5e-324", 1, "2cbdf7c787066725c4a1a6d158ddb2c3eda279470b71130e22bd6d80cc445ac8", None, None, f"configuration error: {TINY_CELL.format('5e-324')}"),
     # a range axis that leaves the visible pass, and a default transfer window without a coupling
@@ -190,7 +190,7 @@ NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\b(?:inf|n
 def numeric_change(a: Path, b: Path) -> str:
     """The largest absolute and relative change between the numbers of two
     files, with the line of each, or where their other text differs."""
-    lines_a, lines_b = a.read_text(errors="replace").split("\n"), b.read_text(errors="replace").split("\n")
+    lines_a, lines_b = a.read_text(errors="replace").splitlines(), b.read_text(errors="replace").splitlines()
     if len(lines_a) != len(lines_b):
         return f"line count differs ({len(lines_a)} and {len(lines_b)})"
     largest_abs = largest_rel = (0.0, 0)

@@ -529,7 +529,8 @@ def test_diff_reports_the_largest_numeric_change(tmp_path):
     for name, texts in {"01/same": ("x,1.0\n", "x,1.0\n"),
                         "01/o/map.csv": ("r,p\n1,100\n2,0.25\n", "r,p\n1,101\n2,-0.25\n"),
                         "02/stderr": ("error: got 1\n", "fault: got 1\n"),
-                        "02/only": ("", None)}.items():
+                        "02/only": ("", None),
+                        "03/stdout": ("x\n", "x\ny\n")}.items():
         for root, text in zip((a, b), texts):
             if text is not None:
                 (root / name).parent.mkdir(parents=True, exist_ok=True)
@@ -541,6 +542,7 @@ def test_diff_reports_the_largest_numeric_change(tmp_path):
         "01/o/map.csv: largest absolute change 1 (line 2), largest relative change 2 (line 3)",
         f"02/only: only in {a}",
         "02/stderr: non-numeric text or token count differs at line 1",
+        "03/stdout: line count differs (1 and 2)",
     ]
     assert subprocess.run([*script, a, a]).returncode == 0
 

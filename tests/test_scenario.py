@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import references
 from satqlink import geometry as geo, linkbudget as lb, scenario as scn
 from satqlink.config import RunConfig, scenario_config
-from satqlink.domain import replace
+from satqlink.domain import ConfigError, Domain, replace
 
 CFG = scenario_config(RunConfig())  # baseline operating point
 
@@ -176,6 +176,23 @@ def test_gain_map_self_comparison_is_unity():
     consistent = replace(CFG, dual_slant_range=l20)
     cell = scn.gain_map(np.array([math.radians(20.0)]), np.array([1.0]), consistent)[0][0]
     assert cell == pytest.approx(1.0, rel=1e-12)
+
+
+def test_map_cell_cap_counts_rows_times_columns(monkeypatch):
+    # 3 x 3 axes are 9 cells: a cap of 9 lets both maps through, a cap of 8
+    # refuses each before its first link budget
+    ranges, jitters = [500.0, 1000.0, 1500.0], [0.0, 1e-6, 2e-6]
+    elevations, memories = [0.5, 1.0, 1.5], [0.25, 0.5, 1.0]
+    monkeypatch.setattr(scn, "MAP_CELLS", Domain("at most 9 map cells", 0, 9))
+    assert scn.downlink_probability_map(ranges, jitters, CFG).size == 9
+    assert scn.gain_map(elevations, memories, CFG).size == 9
+    monkeypatch.setattr(scn, "MAP_CELLS", Domain("at most 8 map cells", 0, 8))
+    for name in ("link_efficiency_row", "single_link_efficiency"):
+        monkeypatch.setattr(lb, name, lambda *args: pytest.fail("link budget before the refusal"))
+    with pytest.raises(ConfigError, match=r"^len\(range_axis_km\) x len\(jitter_axis_rad\) must be at most 8 "):
+        scn.downlink_probability_map(ranges, jitters, CFG)
+    with pytest.raises(ConfigError, match=r"^len\(elevation_axis_rad\) x len\(eta_mem_axis\) must be at most 8 "):
+        scn.gain_map(elevations, memories, CFG)
 
 
 def test_markdown_and_record_outputs():

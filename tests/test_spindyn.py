@@ -11,6 +11,7 @@ import references
 from satqlink import scenario as scn, spindyn as sd
 from satqlink.spindyn import EnsembleParams
 from satqlink.config import ConfigError, RunConfig, ensemble_params
+from satqlink.domain import Domain
 from satqlink.formatting import csv_float
 
 R = 0.01
@@ -604,6 +605,19 @@ def test_transfer_step_cap_counts_the_contour_steps(monkeypatch):
     with pytest.raises(ConfigError, match="phase 1 of 3, a 7.85398 s transfer, needs more than 2 contour steps"):
         sd.integrate(sd.initial_state(g), sched, ens, g)
     assert not steps
+
+
+def test_kymograph_cell_cap_counts_samples_times_points(monkeypatch):
+    # 3 samples on 16 points are 48 cells: a cap of 48 lets the run through,
+    # a cap of 47 refuses it before any eigenbasis is built
+    g = sd.RadialGrid(R, 16)
+    sched = sd.ProtocolSchedule(dark_interval=1.0, exchange_window=1.0)
+    monkeypatch.setattr(sd, "_KYMOGRAPH_CELLS", Domain("at most 48 kymograph cells", 0, 48))
+    assert sd.simulate_protocol(lossless(), sched, g, time_samples=3).kymograph_alkali.shape[1] == 16
+    monkeypatch.setattr(sd, "_KYMOGRAPH_CELLS", Domain("at most 47 kymograph cells", 0, 47))
+    monkeypatch.setattr(np.linalg, "eigh", lambda matrix: pytest.fail("eigh before the refusal"))
+    with pytest.raises(ConfigError, match="^time_samples x point_count must be at most 47 kymograph cells, got 48$"):
+        sd.simulate_protocol(lossless(), sched, sd.RadialGrid(R, 16), time_samples=3)
 
 
 _WINDOW = [([0, 1], "dirichlet", None), ([2], "neumann", None)]
